@@ -45,17 +45,13 @@ def default_approximants(
     """Successive prefix truncations of the target that lie in the ground
     field.  The full prefix is excluded: its distance to the target is
     hidden behind the precision bound."""
-    out = []
-    prefix: list[tuple[Fraction, int]] = []
-    out.append(Series(target.p, (), INF))
-    for e, c in target.terms:
-        if not ground(e):
-            break
-        prefix.append((e, c))
-        out.append(Series(target.p, tuple(prefix), INF))
-    if len(out) > 1 and len(prefix) == len(target.terms):
-        out.pop()  # drop the full prefix
-    return tuple(out)
+    terms = target.terms
+    k = 0
+    while k < len(terms) and ground(terms[k][0]):
+        k += 1
+    if k == len(terms) and k > 0:
+        k -= 1  # drop the full prefix
+    return tuple(target.prefix(i) for i in range(k + 1))
 
 
 @dataclass(frozen=True)
@@ -69,6 +65,10 @@ class ApproxType:
     distance_hint: Optional[Cut] = None
     window: int = 4
     tail_depth: int = 6
+    # v(target - c_n) for every approximant, computed once at construction
+    _gammas: tuple[GroupValue, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def from_truncations(
@@ -95,29 +95,30 @@ class ApproxType:
         )
 
     def __post_init__(self):
-        prev = None
+        gammas = []
         for c in self.approximants:
             if not in_subfield(c, self.ground):
                 raise PreconditionError(
                     "approximant leaves the ground field"
                 )
             g = (self.target - c).val()
-            if prev is not None and not g > prev:
+            if gammas and not g > gammas[-1]:
                 raise PreconditionError(
                     "approximant values must strictly increase"
                 )
-            prev = g
+            gammas.append(g)
+        object.__setattr__(self, "_gammas", tuple(gammas))
 
     def gamma(self, n: int) -> GroupValue:
         """v(target - c_n)."""
-        return (self.target - self.approximants[n]).val()
+        return self._gammas[n]
 
     def gammas(self) -> list[GroupValue]:
-        return [self.gamma(n) for n in range(len(self.approximants))]
+        return list(self._gammas)
 
     @property
     def is_trivial(self) -> bool:
-        return any(g is INF for g in self.gammas())
+        return any(g is INF for g in self._gammas)
 
     def distance(self) -> Cut:
         if not self.cofinal:
@@ -125,7 +126,7 @@ class ApproxType:
                 "distance needs a cofinal approximant sequence"
             )
         if self.distance_hint is not None:
-            for g in self.gammas():
+            for g in self._gammas:
                 if not compare_value_cut(g, self.distance_hint).lt:
                     raise MarkerViolation(
                         f"approximant value {g} contradicts the declared "
@@ -223,10 +224,9 @@ class ApproxType:
         return law
 
     def _fit_law(self, values: list[GroupValue]) -> NotFixed:
-        gammas = self.gammas()
         pts = [
             (g, w)
-            for g, w in zip(gammas, values)
+            for g, w in zip(self._gammas, values)
             if is_finite(g) and is_finite(w)
         ]
         tail_len = min(self.tail_depth, len(pts))

@@ -4,14 +4,22 @@ A series is a finite exponent -> coefficient map over F_p together with a
 precision bound: terms with exponent >= precision are unknown.  Precision
 INF marks an exact element.  The valuation is the least stored exponent,
 with v(t) = 1 throughout.
+
+Exponents are stored as integers over one common denominator ``den`` per
+series, so the kernels (+, *, -, scale, shift, truncate, coeff, residue,
+invert) run on integers and rescale to lcm(den_a, den_b) where operand
+denominators differ.  ``Fraction`` appears only at the API boundary: the
+derived ``terms`` view, ``val()``, ``leading()``, precisions and
+subfield predicates.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from functools import lru_cache
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable
 
@@ -86,14 +94,39 @@ def resolve_predicate(name: str, p: int) -> SubfieldPredicate:
     raise PreconditionError(f"unknown subfield predicate {name!r}")
 
 
-@dataclass(frozen=True)
 class Series:
-    """A truncated Hahn series: sorted tuple of (exponent, coeff mod p) with
-    all exponents strictly below ``precision`` and no zero coefficients."""
+    """A truncated Hahn series: terms c * t^(k/den) stored as the tuple
+    ``ints`` of integer pairs (k, c), sorted by strictly increasing k, with
+    coefficients in 1..p-1 and every exponent k/den strictly below
+    ``precision``.
 
-    p: int
-    terms: tuple[tuple[Fraction, int], ...]
-    precision: GroupValue = INF
+    ``den`` is a common exponent denominator, not necessarily the least
+    one: equality and hashing do not depend on it.  ``terms`` is the
+    derived (Fraction exponent, coeff) view, built on each access.
+    Instances are immutable.
+    """
+
+    __slots__ = ("p", "den", "ints", "precision")
+
+    def __init__(
+        self,
+        p: int,
+        terms: Iterable[tuple[Fraction | int, int]],
+        precision: GroupValue = INF,
+    ):
+        """Terms as (exponent, coeff) pairs, already sorted, reduced and
+        below precision (use ``Series.make`` to normalise)."""
+        if not isinstance(terms, (tuple, list)):
+            terms = tuple(terms)
+        den = lcm(*{e.denominator for e, _ in terms})
+        _set(self, "p", p)
+        _set(self, "den", den)
+        _set(
+            self,
+            "ints",
+            tuple([(e.numerator * (den // e.denominator), c) for e, c in terms]),
+        )
+        _set(self, "precision", precision)
 
     @staticmethod
     def make(
@@ -101,20 +134,32 @@ class Series:
         terms: Iterable[tuple[Fraction | int, int]],
         precision: GroupValue = INF,
     ) -> "Series":
-        acc: dict[Fraction, int] = {}
-        for e, c in terms:
-            e = Fraction(e)
-            acc[e] = (acc.get(e, 0) + c) % p
-        kept = sorted((e, c) for e, c in acc.items() if c != 0 and e < precision)
-        return Series(p, tuple(kept), precision)
+        pairs = [
+            (e if isinstance(e, (int, Fraction)) else Fraction(e), c)
+            for e, c in terms
+        ]
+        den = lcm(*{e.denominator for e, _ in pairs})
+        acc: dict[int, int] = {}
+        for e, c in pairs:
+            k = e.numerator * (den // e.denominator)
+            acc[k] = acc.get(k, 0) + c
+        cut = None if precision is INF else _ceil_scaled(precision, den)
+        kept = []
+        for k in sorted(acc):
+            if cut is not None and k >= cut:
+                break
+            c = acc[k] % p
+            if c:
+                kept.append((k, c))
+        return _from_ints(p, den, tuple(kept), precision)
 
     @staticmethod
     def zero(p: int, precision: GroupValue = INF) -> "Series":
-        return Series(p, (), precision)
+        return _from_ints(p, 1, (), precision)
 
     @staticmethod
     def one(p: int) -> "Series":
-        return Series.make(p, [(0, 1)])
+        return _from_ints(p, 1, ((0, 1),), INF)
 
     @staticmethod
     def monomial(p: int, e, c: int = 1, precision: GroupValue = INF) -> "Series":
@@ -125,12 +170,55 @@ class Series:
         return Series.monomial(p, 1)
 
     @property
+    def terms(self) -> tuple[tuple[Fraction, int], ...]:
+        den = self.den
+        return tuple([(_fraction(k, den), c) for k, c in self.ints])
+
+    @property
     def is_exact_zero(self) -> bool:
-        return not self.terms and self.precision is INF
+        return not self.ints and self.precision is INF
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _from_ints, (self.p, self.den, self.ints, self.precision)
+
+    def _canonical(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(den, ints) over the least common exponent denominator."""
+        g = gcd(self.den, *[k for k, _ in self.ints])
+        if g == 1:
+            return self.den, self.ints
+        return self.den // g, tuple([(k // g, c) for k, c in self.ints])
+
+    def __eq__(self, other):
+        if other.__class__ is not Series:
+            return NotImplemented
+        if (
+            self.p != other.p
+            or self.precision != other.precision
+            or len(self.ints) != len(other.ints)
+        ):
+            return False
+        if self.den == other.den:
+            return self.ints == other.ints
+        return self._canonical() == other._canonical()
+
+    def __hash__(self):
+        return hash((self.p, self._canonical(), self.precision))
+
+    def __repr__(self) -> str:
+        return (
+            f"Series(p={self.p!r}, terms={self.terms!r}, "
+            f"precision={self.precision!r})"
+        )
 
     def val(self) -> GroupValue:
-        if self.terms:
-            return self.terms[0][0]
+        if self.ints:
+            return _fraction(self.ints[0][0], self.den)
         if self.precision is INF:
             return INF
         raise IndeterminateValuation(
@@ -139,32 +227,40 @@ class Series:
 
     def coeff(self, e) -> int:
         e = Fraction(e)
-        for ee, c in self.terms:
-            if ee == e:
-                return c
-        return 0
+        if self.den % e.denominator:
+            return 0  # not a multiple of 1/den: no stored exponent
+        return self._coeff_at(e.numerator * (self.den // e.denominator))
+
+    def _coeff_at(self, k: int) -> int:
+        ints = self.ints
+        i = bisect_left(ints, k, key=_EXP)
+        return ints[i][1] if i < len(ints) and ints[i][0] == k else 0
 
     def leading(self) -> tuple[Fraction, int]:
-        if not self.terms:
+        if not self.ints:
             raise IndeterminateValuation("no leading term")
-        return self.terms[0]
+        k, c = self.ints[0]
+        return _fraction(k, self.den), c
+
+    def prefix(self, k: int) -> "Series":
+        """The exact series of the first k terms."""
+        return _from_ints(self.p, self.den, self.ints[:k], INF)
 
     def _require_same_p(self, other: "Series"):
         if self.p != other.p:
             raise PreconditionError(f"mixed primes {self.p} and {other.p}")
 
     def __add__(self, other: "Series") -> "Series":
-        """Linear merge of the two term tuples.
+        """Linear merge of the two integer term tuples.
 
-        Relies on each operand's terms being sorted by strictly increasing
-        exponent, with coefficients in 1..p-1 and exponents below that
-        operand's precision; the result then has the same invariants.
+        Relies on each operand's invariants (sorted, reduced, below its
+        precision); the result then has them too.
         """
         self._require_same_p(other)
         p = self.p
         prec = min_value(self.precision, other.precision)
-        a, b = self.terms, other.terms
-        out: list[tuple[Fraction, int]] = []
+        den, a, b = _common(self, other)
+        out: list[tuple[int, int]] = []
         i = j = 0
         na, nb = len(a), len(b)
         while i < na and j < nb:
@@ -184,14 +280,18 @@ class Series:
                 j += 1
         out.extend(a[i:])
         out.extend(b[j:])
-        if prec is not INF and out and out[-1][0] >= prec:
-            del out[bisect_left(out, prec, key=itemgetter(0)):]
-        return Series(p, tuple(out), prec)
+        if prec is not INF and out:
+            cut = _ceil_scaled(prec, den)
+            if out[-1][0] >= cut:
+                del out[bisect_left(out, cut, key=_EXP):]
+        return _from_ints(p, den, tuple(out), prec)
 
     def __neg__(self) -> "Series":
-        return Series(
-            self.p,
-            tuple((e, (-c) % self.p) for e, c in self.terms),
+        p = self.p
+        return _from_ints(
+            p,
+            self.den,
+            tuple([(k, (-c) % p) for k, c in self.ints]),
             self.precision,
         )
 
@@ -199,74 +299,65 @@ class Series:
         return self + (-other)
 
     def __mul__(self, other: "Series") -> "Series":
-        """Product truncated at ``_mul_precision``.
+        """Integer convolution truncated at ``_mul_precision``.
 
-        Relies on each operand's terms being sorted by strictly increasing
-        exponent and below that operand's precision: the loops stop at the
-        first product past the cutoff.
+        Relies on each operand's invariants: the loops stop at the first
+        product past the cutoff.
         """
         self._require_same_p(other)
+        p = self.p
         prec = self._mul_precision(other)
-        if not self.terms or not other.terms:
-            return Series(self.p, (), prec)
-        # int-keyed convolution over a common exponent denominator
-        den = lcm(
-            *(e.denominator for e, _ in self.terms),
-            *(e.denominator for e, _ in other.terms),
-        )
-        a = [(e.numerator * (den // e.denominator), c) for e, c in self.terms]
-        b = [(e.numerator * (den // e.denominator), c) for e, c in other.terms]
-        # k >= prec * den  <=>  k >= ceil(prec * den)  for integer k; an
-        # exact product keeps every k, all of them below the last one + 1
+        if not self.ints or not other.ints:
+            return _from_ints(p, 1, (), prec)
+        den, a, b = _common(self, other)
+        # an exact product keeps every k, all of them below the last one + 1
         if prec is INF:
             cutoff = a[-1][0] + b[-1][0] + 1
         else:
-            cutoff = ceil(prec * den)
+            cutoff = _ceil_scaled(prec, den)
         acc: dict[int, int] = {}
+        b0 = b[0][0]
         for ea, ca in a:
             lim = cutoff - ea
-            if b[0][0] >= lim:
+            if b0 >= lim:
                 break  # a is sorted, so every later ea is past the cutoff too
             for eb, cb in b:
                 if eb >= lim:
                     break  # b is sorted
                 k = ea + eb
                 acc[k] = acc.get(k, 0) + ca * cb
-        p = self.p
         kept = []
         for k in sorted(acc):
             c = acc[k] % p
             if c:
-                kept.append((Fraction(k, den), c))
-        return Series(p, tuple(kept), prec)
+                kept.append((k, c))
+        return _from_ints(p, den, tuple(kept), prec)
 
     def _mul_precision(self, other: "Series") -> GroupValue:
+        if self.is_exact_zero or other.is_exact_zero:
+            return INF
         cands = []
         if other.precision is not INF:
-            if self.terms:
-                cands.append(self.terms[0][0] + other.precision)
-            elif self.precision is INF:
-                pass  # exact zero absorbs
-            else:
+            if self.ints:
+                cands.append(self.val() + other.precision)
+            elif self.precision is not INF:
                 cands.append(self.precision + other.precision)
         if self.precision is not INF:
-            if other.terms:
-                cands.append(other.terms[0][0] + self.precision)
-            elif other.precision is INF:
-                pass
-            else:
+            if other.ints:
+                cands.append(other.val() + self.precision)
+            elif other.precision is not INF:
                 cands.append(self.precision + other.precision)
-        if (self.is_exact_zero or other.is_exact_zero):
-            return INF
         return min(cands) if cands else INF
 
     def scale(self, c: int) -> "Series":
-        c %= self.p
+        p = self.p
+        c %= p
         if c == 0:
-            return Series(self.p, (), self.precision)
-        return Series(
-            self.p,
-            tuple((e, (cc * c) % self.p) for e, cc in self.terms),
+            return _from_ints(p, 1, (), self.precision)
+        return _from_ints(
+            p,
+            self.den,
+            tuple([(k, (cc * c) % p) for k, cc in self.ints]),
             self.precision,
         )
 
@@ -274,8 +365,13 @@ class Series:
         """Multiplication by the monomial t^e."""
         e = Fraction(e)
         prec = self.precision if self.precision is INF else self.precision + e
-        return Series(
-            self.p, tuple((ee + e, c) for ee, c in self.terms), prec
+        den = self.den
+        if den % e.denominator:
+            den = lcm(den, e.denominator)
+        f = den // self.den
+        d = e.numerator * (den // e.denominator)
+        return _from_ints(
+            self.p, den, tuple([(k * f + d, c) for k, c in self.ints]), prec
         )
 
     def __pow__(self, k: int) -> "Series":
@@ -292,24 +388,68 @@ class Series:
 
     def truncate(self, precision: GroupValue) -> "Series":
         prec = min_value(self.precision, precision)
-        return Series(
-            self.p, tuple((e, c) for e, c in self.terms if e < prec), prec
-        )
+        ints = self.ints
+        if prec is not INF and ints:
+            cut = _ceil_scaled(prec, self.den)
+            if ints[-1][0] >= cut:
+                ints = ints[: bisect_left(ints, cut, key=_EXP)]
+        return _from_ints(self.p, self.den, ints, prec)
 
     def residue(self) -> int:
-        v = None
-        if self.terms:
-            v = self.terms[0][0]
-            if v < 0:
-                raise PreconditionError("residue of a negative-value series")
+        if self.ints and self.ints[0][0] < 0:
+            raise PreconditionError("residue of a negative-value series")
         if self.precision is not INF and self.precision <= 0:
             raise InsufficientPrecision("precision does not reach exponent 0")
-        return self.coeff(0)
+        return self._coeff_at(0)
 
     def __str__(self) -> str:
         from .parsing import format_series
 
         return format_series(self)
+
+
+_new = object.__new__
+_set = object.__setattr__
+_EXP = itemgetter(0)
+# Fraction(k, den) for the boundary views; exponents recur across series
+_fraction = lru_cache(maxsize=1024)(Fraction)
+
+
+def _from_ints(
+    p: int, den: int, ints: tuple[tuple[int, int], ...], precision: GroupValue
+) -> Series:
+    """The trusted integer constructor: ``ints`` must already satisfy the
+    Series invariants over ``den``."""
+    s = _new(Series)
+    _set(s, "p", p)
+    _set(s, "den", den)
+    _set(s, "ints", ints)
+    _set(s, "precision", precision)
+    return s
+
+
+def _ceil_scaled(v, den: int) -> int:
+    """ceil(v * den) for a rational v: an integer k is >= v * den exactly
+    when it is >= this."""
+    return -(-v.numerator * den // v.denominator)
+
+
+def _common(a: Series, b: Series):
+    """(den, a.ints, b.ints) over one common denominator; an operand
+    without terms takes the other's denominator."""
+    da, db = a.den, b.den
+    if da == db or not b.ints:
+        return da, a.ints, b.ints
+    if not a.ints:
+        return db, a.ints, b.ints
+    den = lcm(da, db)
+    return den, _rescaled(a.ints, den // da), _rescaled(b.ints, den // db)
+
+
+def _rescaled(ints, f: int):
+    if f == 1:
+        return ints
+    return [(k * f, c) for k, c in ints]
 
 
 def min_value(a: GroupValue, b: GroupValue) -> GroupValue:
@@ -329,33 +469,37 @@ def invert(a: Series, target_precision: GroupValue) -> Series:
     va = a.val()
     if va is INF:
         raise PreconditionError("cannot invert zero")
+    p = a.p
     if target_precision is INF:
-        if a.precision is not INF or len(a.terms) > 1:
+        if a.precision is not INF or len(a.ints) > 1:
             raise InsufficientPrecision("exact inverse needs a monomial")
-        e, c = a.terms[0]
-        return Series.monomial(a.p, -e, pow(c, -1, a.p))
+        k, c = a.ints[0]
+        return _from_ints(p, a.den, ((-k, pow(c, -1, p)),), INF)
     if a.precision is not INF and a.precision < target_precision:
         raise InsufficientPrecision(
             f"precision {a.precision} below target {target_precision}"
         )
     # normalize to 1 + u with v(u) > 0, then sum the geometric series
-    lead_e, lead_c = a.terms[0]
-    unit = Series.monomial(a.p, -lead_e, pow(lead_c, -1, a.p))
-    b = (a * unit).truncate(target_precision - va)
-    one = Series.one(a.p)
+    lead_k, lead_c = a.ints[0]
+    unit = _from_ints(p, a.den, ((-lead_k, pow(lead_c, -1, p)),), INF)
+    rel = target_precision - va
+    b = (a * unit).truncate(rel)
+    one = Series.one(p)
     u = one - b
     inv_b = one
     term = one
-    if u.terms:
-        vu = u.terms[0][0]
+    if u.ints:
+        # k * v(u) < rel  <=>  k * ku < ceil(rel * den) for u's integer ku
+        ku = u.ints[0][0]
+        cut = _ceil_scaled(rel, u.den)
         k = 1
-        while k * vu < target_precision - va:
-            term = (term * u).truncate(target_precision - va)
+        while k * ku < cut:
+            term = (term * u).truncate(rel)
             inv_b = inv_b + term
-            if not term.terms:
+            if not term.ints:
                 break
             k += 1
-    inv_b = inv_b.truncate(target_precision - va)
+    inv_b = inv_b.truncate(rel)
     return inv_b * unit
 
 
@@ -373,14 +517,18 @@ def truncate_to_subfield(
         raise InsufficientPrecision(
             f"alpha {alpha} beyond precision {x.precision}"
         )
-    kept = [(e, c) for e, c in x.terms if e < alpha]
-    bad = [e for e, _ in kept if not pred(e)]
-    if bad:
-        raise NotRepresentable(
-            f"exponent {bad[0]} not accepted by predicate {pred.name}"
-        )
-    return Series(x.p, tuple(kept), INF)
+    den, kept = x.den, x.ints
+    if alpha is not INF:
+        kept = kept[: bisect_left(kept, _ceil_scaled(alpha, den), key=_EXP)]
+    for k, _ in kept:
+        e = _fraction(k, den)
+        if not pred(e):
+            raise NotRepresentable(
+                f"exponent {e} not accepted by predicate {pred.name}"
+            )
+    return _from_ints(x.p, den, kept, INF)
 
 
 def in_subfield(x: Series, pred: SubfieldPredicate) -> bool:
-    return all(pred(e) for e, _ in x.terms)
+    den = x.den
+    return all(pred(_fraction(k, den)) for k, _ in x.ints)

@@ -187,7 +187,7 @@ def parse_poly(text: str, p: int):
                 raise ParseError(text, sc.pos, "expected '+' or end")
             break
     top = max(coeffs) if coeffs else 0
-    return ValPoly(p, tuple(coeffs.get(i, Series.zero(p)) for i in range(top + 1)))
+    return ValPoly.make(p, (coeffs.get(i, Series.zero(p)) for i in range(top + 1)))
 
 
 def parse_series_prefix(sc: _Scanner, p: int) -> Series:
@@ -197,7 +197,7 @@ def parse_series_prefix(sc: _Scanner, p: int) -> Series:
 
 def format_poly(f) -> str:
     parts = []
-    for i in range(f.degree(), -1, -1):
+    for i in reversed(range(len(f.coeffs))):
         c = f.coeffs[i]
         if not c.terms and c.precision is INF:
             continue

@@ -201,10 +201,10 @@ def approx_coefficient(A: ApproxType, f: ValPoly) -> tuple[Series, RelDegree]:
     last = samples[-1]
     if last.val() is INF:
         raise PreconditionError("h-th derivative vanishes on the tail")
-    for k in range(1, len(last.terms) + 1):
-        cand = Series(last.p, last.terms[:k], INF)
-        if not all(A.ground(e) for e, _ in cand.terms):
-            break
+    for k, (e, _) in enumerate(last.terms, 1):
+        if not A.ground(e):
+            break  # every longer truncation keeps this exponent
+        cand = last.prefix(k)
         if _certify_coefficient(samples, cand):
             _verify_coefficient_law(A, f, rd, cand)
             return cand, rd

@@ -14,9 +14,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .errors import InternalInconsistency, PreconditionError
-from .hahn import Series, invert
+from .errors import (
+    IndeterminateValuation,
+    InternalInconsistency,
+    PreconditionError,
+)
+from .hahn import Series, _from_ints, invert
 from .ordval import INF, GroupValue
 
 
@@ -48,13 +53,20 @@ class TameCyclic:
 
     def s_part(self, e: Fraction) -> int:
         """m mod n with t^e = s^m * (fixed perfect-hull monomial)."""
-        pj, rest = _split_denominator(e.denominator, self.p)
+        return self._s_part(e.numerator, e.denominator)
+
+    def _s_part(self, k: int, den: int) -> int:
+        """s_part of the exponent k/den, not necessarily in lowest terms."""
+        g = gcd(k, den)
+        k, den = k // g, den // g
+        pj, rest = _split_denominator(den, self.p)
         if self.n % rest != 0:
             raise PreconditionError(
-                f"exponent {e} does not lie in the degree-{self.n} step"
+                f"exponent {Fraction(k, den)} does not lie in the "
+                f"degree-{self.n} step"
             )
         # e = m/n + b/p^J  =>  m = e*n*p^J * inverse(p^J) mod n
-        num = e.numerator * self.n * pj // e.denominator
+        num = k * self.n * pj // den
         return (num * pow(pj, -1, self.n)) % self.n
 
     def element(self, k: int) -> "GaloisElem":
@@ -86,12 +98,14 @@ class GaloisElem:
 
     def __call__(self, a: Series) -> Series:
         G = self.group
-        return Series(
+        den = a.den
+        return _from_ints(
             a.p,
-            tuple(
-                (e, (c * pow(G.zeta, self.k * G.s_part(e), G.p)) % G.p)
-                for e, c in a.terms
-            ),
+            den,
+            tuple([
+                (k, (c * pow(G.zeta, self.k * G._s_part(k, den), G.p)) % G.p)
+                for k, c in a.ints
+            ]),
             a.precision,
         )
 
@@ -160,7 +174,7 @@ def _witness_works(
     min_v = min(t.val() for t in terms)
     try:
         return total.val() == min_v
-    except Exception:
+    except IndeterminateValuation:
         return False
 
 

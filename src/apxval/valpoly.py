@@ -153,9 +153,9 @@ def taylor_check(f: ValPoly, c: Series, x: Series) -> bool:
         rhs = rhs + fi_c * power
         power = power * diff
     delta = lhs - rhs
-    if not delta.terms:
+    if not delta.ints:
         return True
-    if lhs.precision is not INF and delta.terms[0][0] >= lhs.precision:
+    if lhs.precision is not INF and delta.val() >= lhs.precision:
         return True
     return False
 
@@ -167,11 +167,11 @@ def poly_divmod(g: ValPoly, f: ValPoly) -> tuple[ValPoly, ValPoly]:
         raise PreconditionError("division by the zero polynomial")
     p = g.p
     lead = f.coeffs[-1]
-    if lead.precision is not INF or len(lead.terms) != 1:
+    if lead.precision is not INF or len(lead.ints) != 1:
         raise PreconditionError(
             "divisor leading coefficient must be an exact monomial"
         )
-    e, c = lead.terms[0]
+    e, c = lead.leading()
     lead_inv = Series.monomial(p, -e, pow(c, -1, p))
     df = f.degree()
     rem = list(g.coeffs)

@@ -245,3 +245,172 @@ def test_direct_constructions_keep_invariants_randomized():
             G.element(rng.randrange(G.n))(s),
         ):
             assert_series_invariants(out)
+
+
+# --- the integer representation against a Fraction-keyed reference -------
+#
+# A reference value is (dict exponent -> coeff, precision), exponents as
+# Fractions; every kernel result is compared with it through ``terms``.
+
+
+def ref_of(s):
+    return dict(s.terms), s.precision
+
+
+def ref_series(p, ref):
+    terms, prec = ref
+    return tuple(sorted((e, c % p) for e, c in terms.items() if c % p)), prec
+
+
+def ref_keep(p, terms, prec):
+    return {e: c % p for e, c in terms.items() if c % p and e < prec}, prec
+
+
+def ref_neg(a):
+    return {e: -c for e, c in a[0].items()}, a[1]
+
+
+def ref_add(p, a, b):
+    prec = min_value(a[1], b[1])
+    out = dict(a[0])
+    for e, c in b[0].items():
+        out[e] = out.get(e, 0) + c
+    return ref_keep(p, out, prec)
+
+
+def ref_mul(p, a, b):
+    (ta, pa), (tb, pb) = a, b
+    if (not ta and pa is INF) or (not tb and pb is INF):
+        prec = INF
+    else:
+        # the unknown part of a*b starts at v(a) + prec(b) or v(b) + prec(a)
+        low_a = min(ta) if ta else pa
+        low_b = min(tb) if tb else pb
+        prec = min_value(low_a + pb, low_b + pa)
+    out = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return ref_keep(p, out, prec)
+
+
+def assert_matches(p, s, ref):
+    assert_series_invariants(s)
+    assert (s.terms, s.precision) == ref_series(p, ref)
+    # the public constructor and the normalising one rebuild the same value
+    again = Series(p, s.terms, s.precision)
+    made = Series.make(p, s.terms, s.precision)
+    assert again == s and made == s
+    assert hash(again) == hash(s) == hash(made)
+
+
+DEN_CHOICES = (1, 4, 6, 9, 25)
+
+
+def den_operand(rng, p, den):
+    """Terms in (1/den)Z, exact or truncated at a precision of its own
+    denominator."""
+    terms = [
+        (Fraction(rng.randint(-30, 30), den), rng.randint(1, p - 1))
+        for _ in range(rng.randint(0, 7))
+    ]
+    prec = INF
+    if rng.random() < 0.6:
+        prec = Fraction(rng.randint(-10, 40), rng.choice([1, 2, 3, 5, 7]))
+    return Series.make(p, terms, prec)
+
+
+def test_mixed_denominators_match_fraction_reference_randomized():
+    rng = random.Random(909)
+    for _ in range(1500):
+        p = rng.choice([2, 3, 5, 7])
+        a = den_operand(rng, p, rng.choice(DEN_CHOICES))
+        b = den_operand(rng, p, rng.choice(DEN_CHOICES))
+        ra, rb = ref_of(a), ref_of(b)
+        assert_matches(p, a + b, ref_add(p, ra, rb))
+        assert_matches(p, a - b, ref_add(p, ra, ref_neg(rb)))
+        assert_matches(p, a * b, ref_mul(p, ra, rb))
+        assert_matches(p, -a, ref_neg(ra))
+        k = rng.randint(-7, 7)
+        assert_matches(p, a.scale(k), ({e: c * k for e, c in ra[0].items()}, ra[1]))
+        e = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 5, 7, 27]))
+        assert_matches(
+            p,
+            a.shift(e),
+            ({x + e: c for x, c in ra[0].items()}, ra[1] + e),
+        )
+        cut = Fraction(rng.randint(-12, 40), rng.choice([1, 3, 8, 11]))
+        assert_matches(p, a.truncate(cut), ref_keep(p, ra[0], min_value(ra[1], cut)))
+        n = rng.randint(0, 3)
+        want = ({Fraction(0): 1}, INF)
+        for _ in range(n):
+            want = ref_mul(p, want, ra)
+        assert_matches(p, a**n, want)
+        x = Fraction(rng.randint(-30, 30), rng.choice(DEN_CHOICES))
+        assert a.coeff(x) == ra[0].get(x, 0)
+
+
+def test_invert_matches_fraction_reference_randomized():
+    rng = random.Random(1717)
+    for _ in range(600):
+        p = rng.choice([2, 3, 5, 7])
+        a = den_operand(rng, p, rng.choice(DEN_CHOICES))
+        if not a.terms:
+            continue
+        va = a.val()
+        target = va + Fraction(rng.randint(1, 24), rng.choice([1, 2, 3, 4]))
+        if a.precision < target:
+            with pytest.raises(InsufficientPrecision):
+                invert(a, target)
+            continue
+        inv = invert(a, target)
+        rel = target - va
+        assert_series_invariants(inv)
+        assert inv.precision == rel - va
+        assert Series(p, inv.terms, inv.precision) == inv
+        # a * inv = 1 + O(t^rel) fixes every term of inv below rel - v(a)
+        prod, _ = ref_mul(p, ref_of(a), (dict(inv.terms), INF))
+        assert {e: c for e, c in prod.items() if e < rel} == {Fraction(0): 1}
+
+
+def test_cancelled_finest_terms_equal_and_hash_like_make():
+    p = 5
+    a = Series.make(p, [(Fraction(1, 9), 1), (Fraction(1, 2), 2)])
+    b = Series.make(p, [(Fraction(1, 9), p - 1), (Fraction(1, 3), 3)])
+    total = a + b
+    want = Series.make(p, [(Fraction(1, 2), 2), (Fraction(1, 3), 3)])
+    assert total.den != want.den  # the 1/9 terms cancelled, 1/18 stays
+    assert total == want and hash(total) == hash(want)
+    assert {total: "x"}[want] == "x"
+    # equal values over different denominators, precision included
+    c = Series.make(p, [(Fraction(1, 9), 1), (Fraction(2, 3), 1)], Fraction(5, 2))
+    d = Series.make(p, [(Fraction(1, 9), p - 1)])
+    assert c + d == Series.make(p, [(Fraction(2, 3), 1)], Fraction(5, 2))
+    assert hash(c + d) == hash(Series.make(p, [(Fraction(2, 3), 1)], Fraction(5, 2)))
+    assert c + d != Series.make(p, [(Fraction(2, 3), 1)])
+
+
+def test_shift_to_new_denominators():
+    p = 3
+    s = Series.make(p, [(Fraction(-1, 4), 1), (Fraction(1, 6), 2)], Fraction(2))
+    for e in (Fraction(1, 9), Fraction(-5, 7), Fraction(1, 12), 3):
+        out = s.shift(e)
+        assert out.terms == tuple((x + e, c) for x, c in s.terms)
+        assert out.precision == 2 + e
+        assert out.shift(-Fraction(e)) == s
+
+
+def test_public_constructor_converts_without_normalising():
+    p = 7
+    s = Series(p, ((Fraction(-1, 6), 3), (0, 1), (Fraction(5, 4), 6)), Fraction(3, 2))
+    assert s.den == 12
+    assert s.ints == ((-2, 3), (0, 1), (15, 6))
+    assert s.terms == ((Fraction(-1, 6), 3), (Fraction(0), 1), (Fraction(5, 4), 6))
+    assert s == Series.make(p, s.terms, s.precision)
+    assert Series(p, iter(s.terms), s.precision) == s
+    assert repr(s) == (
+        "Series(p=7, terms=((Fraction(-1, 6), 3), (Fraction(0, 1), 1), "
+        "(Fraction(5, 4), 6)), precision=Fraction(3, 2))"
+    )
+    with pytest.raises(AttributeError):
+        s.p = 5

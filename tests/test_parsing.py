@@ -94,3 +94,17 @@ def test_poly_round_trip_randomized():
         if f.is_zero:
             continue
         assert parse_poly(format_poly(f), p) == f
+
+
+def test_parse_poly_drops_zero_leading_coefficients():
+    f = parse_poly("(0)*X^2 + X", 3)
+    assert f.degree() == 1
+    assert f == ValPoly.make(3, (Series.zero(3), Series.one(3)))
+    assert parse_poly(format_poly(f), 3) == f
+
+
+def test_format_zero_poly_round_trips():
+    z = ValPoly.zero(3)
+    assert format_poly(z) == "(0)"
+    assert parse_poly(format_poly(z), 3) == z
+    assert parse_poly("(0)*X^3 + (0)", 3) == z

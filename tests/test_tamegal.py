@@ -14,6 +14,7 @@ from apxval.tamegal import (
     standard_basis_decompose,
     trace,
     trace_generator,
+    _witness_works,
     valuation_independence_witness,
 )
 
@@ -208,3 +209,14 @@ def test_trace_generator_degenerate_cases():
     x_ground = Series.make(3, [(1, 1), (-2, 2)])
     tr = trace_generator(G, x_ground, G.s())
     assert tr == x_ground * trace(G, G.s())
+
+
+def test_indeterminate_witness_sum_fails_the_candidate_cleanly():
+    G = TameCyclic.make(3, 2)
+    sigmas = [G.element(0), G.element(1)]
+    d1 = Series.make(3, [(0, 1)], Fraction(1))  # 1 + O(t)
+    ds = [d1, -d1]
+    # for d = 1 the sum is O(t): its value is indeterminate, so the
+    # candidate fails instead of raising
+    assert _witness_works(G, Series.one(3), sigmas, ds) is False
+    assert valuation_independence_witness(G, sigmas, ds) == G.s()
