@@ -69,6 +69,10 @@ class ApproxType:
     _gammas: tuple[GroupValue, ...] = field(
         init=False, repr=False, compare=False
     )
+    # [c_n, c_n^2, ...] per approximant, grown by the Taylor tables
+    _powers: tuple[list[Series], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def from_truncations(
@@ -108,6 +112,9 @@ class ApproxType:
                 )
             gammas.append(g)
         object.__setattr__(self, "_gammas", tuple(gammas))
+        object.__setattr__(
+            self, "_powers", tuple([] for _ in self.approximants)
+        )
 
     def gamma(self, n: int) -> GroupValue:
         """v(target - c_n)."""
@@ -253,7 +260,9 @@ class ApproxType:
         tail = self.tail()
         tables = []
         for n in tail:
-            tables.append(taylor_coefficients(g, self.approximants[n]))
+            tables.append(
+                taylor_coefficients(g, self.approximants[n], self._powers[n])
+            )
         betas: list[GroupValue] = []
         for i in range(1, deg + 1):
             vals = []

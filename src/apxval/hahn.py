@@ -299,7 +299,8 @@ class Series:
         return self + (-other)
 
     def __mul__(self, other: "Series") -> "Series":
-        """Integer convolution truncated at ``_mul_precision``.
+        """Integer convolution truncated at ``_mul_precision``; a one-term
+        operand shifts and scales the other's terms instead.
 
         Relies on each operand's invariants: the loops stop at the first
         product past the cutoff.
@@ -310,6 +311,19 @@ class Series:
         if not self.ints or not other.ints:
             return _from_ints(p, 1, (), prec)
         den, a, b = _common(self, other)
+        if len(a) == 1 or len(b) == 1:
+            # one term: shift and scale the other operand, no sort needed
+            if len(a) != 1:
+                a, b = b, a
+            ((e, ce),) = a
+            kept = b
+            if prec is not INF:
+                cut = _ceil_scaled(prec, den) - e
+                if b[-1][0] >= cut:
+                    kept = b[: bisect_left(b, cut, key=_EXP)]
+            return _from_ints(
+                p, den, tuple([(k + e, ck * ce % p) for k, ck in kept]), prec
+            )
         # an exact product keeps every k, all of them below the last one + 1
         if prec is INF:
             cutoff = a[-1][0] + b[-1][0] + 1
@@ -458,10 +472,6 @@ def min_value(a: GroupValue, b: GroupValue) -> GroupValue:
     if b is INF:
         return a
     return min(a, b)
-
-
-def val(s: Series) -> GroupValue:
-    return s.val()
 
 
 def invert(a: Series, target_precision: GroupValue) -> Series:

@@ -1,15 +1,17 @@
 """Polynomials with truncated-series coefficients.
 
 Provides evaluation, composition, formal derivatives with exact binomial
-coefficients reduced mod p, simultaneous Taylor coefficients by synthetic
-division, f-adic digit expansion, and the p-adic binomial valuation fact
-used to bound relative approximation degrees.
+coefficients reduced mod p, simultaneous Taylor coefficients as binomial
+sums over the powers of the expansion point (the powers can be cached by
+the caller across polynomials), f-adic digit expansion, and the p-adic
+binomial valuation fact used to bound relative approximation degrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 
 from .errors import InsufficientPrecision, PreconditionError
@@ -118,27 +120,48 @@ def formal_derivative(f: ValPoly, i: int) -> ValPoly:
     )
 
 
-def taylor_coefficients(f: ValPoly, c: Series) -> list[Series]:
-    """All f_i(c) for 0 <= i <= deg f at once, by repeated synthetic
-    division of f by (X - c)."""
+def taylor_coefficients(
+    f: ValPoly, c: Series, powers: list[Series] | None = None
+) -> list[Series]:
+    """All f_i(c) for 0 <= i <= deg f at once, as the binomial sums
+    f_i(c) = sum_{j>=i} C(j,i) a_j c^(j-i) over the powers of c.
+
+    ``powers`` is a caller-owned list [c, c^2, ...] of powers of this same
+    c, extended in place as far as deg f needs; each c^k is c^(k-1) * c,
+    so the result never depends on what the list already held.  A term is
+    skipped only when C(j,i) = 0 mod p or a_j is an exact zero: a zero
+    coefficient that is truncated still bounds the precision.
+    """
     if f.is_zero:
         return []
-    p = f.p
-    work = list(f.coeffs)
+    coeffs = f.coeffs
+    n = len(coeffs)
+    if powers is None:
+        powers = []
+    while len(powers) < n - 1:
+        powers.append(powers[-1] * c if powers else c)
     out: list[Series] = []
-    while work:
-        # synthetic division by (X - c): the final Horner value is the
-        # remainder, the intermediate values are the quotient coefficients
-        acc = Series.zero(p)
-        quot: list[Series] = []
-        for coeff in reversed(work):
-            acc = acc * c + coeff
-            quot.append(acc)
-        rem = quot.pop()
-        quot.reverse()
-        out.append(rem)
-        work = quot
+    for i, row in enumerate(_binomial_rows(f.p, n)):
+        acc = coeffs[i]
+        for j, b in row:
+            a = coeffs[j]
+            if a.is_exact_zero:
+                continue
+            if b != 1:
+                a = a.scale(b)
+            acc = acc + a * powers[j - i - 1]
+        out.append(acc)
     return out
+
+
+@lru_cache(maxsize=256)
+def _binomial_rows(p: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row i lists (j, C(j,i) mod p) for i < j < n, omitting the binomials
+    that vanish mod p."""
+    return tuple(
+        tuple((j, b) for j in range(i + 1, n) if (b := comb(j, i) % p))
+        for i in range(n)
+    )
 
 
 def taylor_check(f: ValPoly, c: Series, x: Series) -> bool:

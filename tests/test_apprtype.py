@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from apxval.errors import (
 )
 from apxval.hahn import Series, integers_predicate, p_power_denominators
 from apxval.ordval import Cut, INF
+import apxval.apprtype as apprtype
 from apxval.valpoly import ValPoly
 from apxval.apprtype import ApproxType, Fixed, NotFixed, pushed_forward
 from apxval.curated import theta_minpoly, theta_target, theta_type
@@ -239,3 +241,65 @@ def test_strictly_increasing_approximants_enforced():
             integers_predicate(),
             (Series.zero(p), Series.zero(p)),
         )
+
+
+# --- the per-approximant power cache ---------------------------------------
+
+
+def _cache_is_empty(A):
+    return len(A._powers) == len(A.approximants) and not any(A._powers)
+
+
+def test_power_cache_reuse_keeps_the_intercepts():
+    for p in (2, 3):
+        f = theta_minpoly(p)
+        warm = theta_type(p, precision=12)
+        first = warm.taylor_intercepts(f * f)
+        assert not _cache_is_empty(warm)
+        assert warm.taylor_intercepts(f * f) == first
+        # a lower degree after a higher one reads a prefix of the powers
+        assert warm.taylor_intercepts(f) == theta_type(
+            p, precision=12
+        ).taylor_intercepts(f)
+
+
+def test_power_cache_is_invisible_to_eq_hash_and_repr():
+    p = 3
+    warm = theta_type(p)
+    # equal fields, the ground predicate included (it compares by identity)
+    cold = replace(warm)
+    warm.taylor_intercepts(theta_minpoly(p))
+    assert _cache_is_empty(cold) and not _cache_is_empty(warm)
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+
+
+def test_replace_and_push_forward_start_with_an_empty_cache():
+    p = 3
+    A = theta_type(p)
+    f = theta_minpoly(p)
+    A.taylor_intercepts(f)
+    assert _cache_is_empty(replace(A, window=3))
+    res = A.fixes_value(f)
+    assert _cache_is_empty(pushed_forward(A, f, res.h, res.beta))
+
+
+def test_taylor_intercepts_build_one_table_per_tail_approximant(monkeypatch):
+    # perfbench's escape check counts these calls through the module
+    # attribute: exactly min(len(approximants), tail_depth) per call
+    real = apprtype.taylor_coefficients
+    seen = []
+
+    def counting(f, c, *args, **kwargs):
+        seen.append(c)
+        return real(f, c, *args, **kwargs)
+
+    monkeypatch.setattr(apprtype, "taylor_coefficients", counting)
+    A = theta_type(3)
+    for B in (A, replace(A, tail_depth=2), replace(A, tail_depth=20)):
+        for f in (theta_minpoly(3), ValPoly.X(3)):
+            seen.clear()
+            B.taylor_intercepts(f)
+            assert len(seen) == min(len(B.approximants), B.tail_depth)
+            assert seen == [B.approximants[n] for n in B.tail()]

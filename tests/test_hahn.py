@@ -320,6 +320,15 @@ def den_operand(rng, p, den):
     return Series.make(p, terms, prec)
 
 
+def one_term_operand(rng, p, den):
+    """A single term in (1/den)Z, exact or truncated above it."""
+    e = Fraction(rng.randint(-30, 30), den)
+    prec = INF
+    if rng.random() < 0.5:
+        prec = e + Fraction(rng.randint(1, 40), rng.choice([1, 2, 3, 5, 7]))
+    return Series.make(p, [(e, rng.randint(1, p - 1))], prec)
+
+
 def test_mixed_denominators_match_fraction_reference_randomized():
     rng = random.Random(909)
     for _ in range(1500):
@@ -330,6 +339,11 @@ def test_mixed_denominators_match_fraction_reference_randomized():
         assert_matches(p, a + b, ref_add(p, ra, rb))
         assert_matches(p, a - b, ref_add(p, ra, ref_neg(rb)))
         assert_matches(p, a * b, ref_mul(p, ra, rb))
+        m = one_term_operand(rng, p, rng.choice(DEN_CHOICES))
+        rm = ref_of(m)
+        assert_matches(p, a * m, ref_mul(p, ra, rm))
+        assert_matches(p, m * a, ref_mul(p, rm, ra))
+        assert_matches(p, m * m, ref_mul(p, rm, rm))
         assert_matches(p, -a, ref_neg(ra))
         k = rng.randint(-7, 7)
         assert_matches(p, a.scale(k), ({e: c * k for e, c in ra[0].items()}, ra[1]))

@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from apxval.errors import PreconditionError
-from apxval.hahn import Series
+from apxval.hahn import Series, min_value
+from apxval.ordval import INF
 from apxval.valpoly import (
     ValPoly,
     binom_val,
@@ -118,6 +119,109 @@ def test_taylor_identity_between_derivatives():
                 expect = expect + power.scale(coeff)
                 power = power * xc
             assert expect == formal_derivative(f, i)
+
+
+# --- Taylor tables against a synthetic-division reference ----------------
+
+
+def synthetic_division_table(f, c):
+    """Every f_i(c) by repeated synthetic division of f by (X - c): the
+    final Horner value is the remainder f_i(c), the intermediate values
+    are the quotient's coefficients."""
+    if f.is_zero:
+        return []
+    work = list(f.coeffs)
+    out = []
+    while work:
+        acc = Series.zero(f.p)
+        quot = []
+        for coeff in reversed(work):
+            acc = acc * c + coeff
+            quot.append(acc)
+        out.append(quot.pop())
+        quot.reverse()
+        work = quot
+    return out
+
+
+def truncated_series(rng, p, max_terms=3):
+    s = random_series(rng, p, max_terms)
+    if rng.random() < 0.5:
+        return s
+    return s.truncate(Fraction(rng.randint(-4, 16), rng.randint(1, 4)))
+
+
+def test_taylor_table_matches_synthetic_division_on_exact_inputs():
+    rng = random.Random(404)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        f = random_poly(rng, p, 10)
+        c = random_series(rng, p)
+        assert taylor_coefficients(f, c) == synthetic_division_table(f, c)
+
+
+def test_taylor_table_agrees_with_synthetic_division_when_truncated():
+    rng = random.Random(405)
+    higher = 0
+    for _ in range(600):
+        p = rng.choice([2, 3, 5])
+        deg = rng.randint(1, 8)
+        coeffs = [truncated_series(rng, p) for _ in range(deg + 1)]
+        if coeffs[-1].is_exact_zero:
+            coeffs[-1] = Series.one(p)
+        f = ValPoly.make(p, coeffs)
+        c = truncated_series(rng, p)
+        for got, ref in zip(
+            taylor_coefficients(f, c), synthetic_division_table(f, c)
+        ):
+            common = min_value(got.precision, ref.precision)
+            assert got.truncate(common) == ref.truncate(common)
+            # the binomial sums never know less than the reference
+            assert got.precision >= ref.precision
+            higher += got.precision != ref.precision
+    assert higher  # the seeded inputs do reach the lossier reference
+
+
+def test_truncated_zero_coefficient_still_bounds_precision():
+    p = 3
+    # f = X^2 + O(t)*X + 1 at c = t^-2: C(1,0) = 1, so the unknown middle
+    # coefficient leaves f(c) known only below v(c) + 1 = -1
+    f = ValPoly(p, (Series.one(p), Series.zero(p, Fraction(1)), Series.one(p)))
+    c = Series.monomial(p, -2)
+    tab = taylor_coefficients(f, c)
+    assert tab[0].precision == -1
+    assert tab[1].precision == 1
+    assert tab[2] == Series.one(p)
+    assert tab == synthetic_division_table(f, c)
+
+
+def test_truncated_coefficient_with_vanishing_binomial_contributes_nothing():
+    p = 2
+    # f = (1 + O(t^5)) X^2 + t X: f_1(c) = t + C(2,1) a_2 c = t exactly in
+    # characteristic 2, however little of a_2 is known
+    a2 = Series.make(p, [(0, 1)], Fraction(5))
+    f = ValPoly(p, (Series.zero(p), Series.t(p), a2))
+    c = Series.monomial(p, -1)
+    tab = taylor_coefficients(f, c)
+    assert tab[1] == Series.t(p)
+    assert tab[0].precision == 3  # C(2,0) = 1: a_2 c^2 is known below 5 - 2
+    assert synthetic_division_table(f, c)[1].precision is not INF
+
+
+def test_shared_powers_match_fresh_tables():
+    rng = random.Random(406)
+    for _ in range(60):
+        p = rng.choice([2, 3, 5])
+        c = truncated_series(rng, p)
+        powers = []
+        for deg in (3, 8, 2, 11, 5, 1, 9):
+            coeffs = [truncated_series(rng, p) for _ in range(deg + 1)]
+            coeffs[-1] = Series.one(p)
+            f = ValPoly(p, tuple(coeffs))
+            assert taylor_coefficients(f, c, powers) == taylor_coefficients(f, c)
+        assert len(powers) == 11 and powers[0] is c
+        for k in range(1, 11):
+            assert powers[k] == powers[k - 1] * c
 
 
 def test_f_adic_by_construction():
