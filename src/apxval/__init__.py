@@ -42,14 +42,12 @@ from .valpoly import (
 from .envelope import AffineFamily, eventual_argmin, eventual_order
 from .apprtype import ApproxType, Fixed, NotFixed, pushed_forward
 from .reldeg import (
-    ElementProxy,
     FixedCase,
     NotFixedLaw,
     RelDegree,
     approx_coefficient,
     check_multiplicativity,
     combine_same_degree,
-    h_of_element,
     h_upper_bound_from_coeffs,
     reduced_factor_shape,
     rel_degree,

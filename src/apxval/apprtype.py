@@ -10,8 +10,7 @@ assertions; any observed counterexample raises a MarkerViolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
@@ -20,12 +19,11 @@ from .errors import (
     InternalInconsistency,
     MarkerViolation,
     PreconditionError,
-    StabilizationError,
 )
 from .hahn import Series, SubfieldPredicate, in_subfield
 from .ordval import INF, Cut, GroupValue, compare_value_cut, is_finite
 from .valpoly import ValPoly, taylor_coefficients
-from .envelope import AffineFamily, eventual_argmin
+from .envelope import envelope_law, fit_tail_law
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,6 @@ class ApproxType:
     approximants: tuple[Series, ...]
     cofinal: bool = True
     transcendental: bool = False
-    minpoly: Optional[ValPoly] = None
     distance_hint: Optional[Cut] = None
     window: int = 4
     tail_depth: int = 6
@@ -81,7 +78,6 @@ class ApproxType:
         *,
         cofinal: bool = True,
         transcendental: bool = False,
-        minpoly: Optional[ValPoly] = None,
         distance_hint: Optional[Cut] = None,
         window: int = 4,
         tail_depth: int = 6,
@@ -92,7 +88,6 @@ class ApproxType:
             default_approximants(target, ground),
             cofinal,
             transcendental,
-            minpoly,
             distance_hint,
             window,
             tail_depth,
@@ -226,30 +221,20 @@ class ApproxType:
             if vx is None or vx == stab:
                 return Fixed(stab)
             # constant window but wrong limit: treat as not yet stabilized
-        law = self._fit_law(values)
-        self._cross_check(g, law)
-        return law
-
-    def _fit_law(self, values: list[GroupValue]) -> NotFixed:
         pts = [
             (g, w)
             for g, w in zip(self._gammas, values)
             if is_finite(g) and is_finite(w)
         ]
-        tail_len = min(self.tail_depth, len(pts))
-        pts = pts[-tail_len:]
-        if len(pts) < 2:
-            raise StabilizationError("too few points to fit an affine law")
-        (g1, w1), (g2, w2) = pts[-2], pts[-1]
-        h = Fraction(w2 - w1, g2 - g1)
-        if h.denominator != 1 or h < 1:
-            raise StabilizationError(f"law slope {h} is not a positive integer")
-        h = int(h)
-        beta = w1 - h * g1
-        for g, w in pts:
-            if w != beta + h * g:
-                raise StabilizationError(
-                    "values follow no single affine law on the tail"
+        h, beta = fit_tail_law(pts[-self.tail_depth:])
+        # the envelope route, when every derivative value is fixed
+        betas = self.taylor_intercepts(g)
+        if betas is not None and not all(b is INF for b in betas):
+            h_env, beta_env, _ = envelope_law(betas, self.distance())
+            if (h_env, beta_env) != (h, beta):
+                raise InternalInconsistency(
+                    f"sampled law (h={h}, beta={beta}) disagrees with "
+                    f"the envelope prediction (h={h_env}, beta={beta_env})"
                 )
         return NotFixed(h, beta)
 
@@ -275,24 +260,6 @@ class ApproxType:
                 return None
             betas.append(vals[-1])
         return betas
-
-    def _cross_check(self, g: ValPoly, law: NotFixed):
-        betas = self.taylor_intercepts(g)
-        if betas is None:
-            return
-        if all(b is INF for b in betas):
-            return
-        fam = AffineFamily.make(
-            [(i + 1, b, i + 1) for i, b in enumerate(betas)],
-            self.distance(),
-        )
-        h_env = eventual_argmin(fam)
-        beta_env = betas[h_env - 1]
-        if h_env != law.h or beta_env != law.beta:
-            raise InternalInconsistency(
-                f"sampled law (h={law.h}, beta={law.beta}) disagrees with "
-                f"the envelope prediction (h={h_env}, beta={beta_env})"
-            )
 
     def kaplansky_extend(self, g: ValPoly) -> GroupValue:
         """The extension of v to g(x) for a transcendental type: the

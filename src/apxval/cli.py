@@ -14,12 +14,11 @@ from fractions import Fraction
 
 from .config import SessionConfig, load_config_file
 from .errors import ApxError, InternalInconsistency
-from .ordval import Cut, format_value, parse_cut, scale_cut, shift_cut
+from .ordval import format_value, parse_cut, scale_cut, shift_cut
 from .hahn import Series, resolve_predicate
-from .parsing import ParseError, format_poly, format_series, parse_poly, parse_series
-from .valpoly import ValPoly
+from .parsing import ParseError, format_series, parse_poly, parse_series
 from .envelope import AffineFamily, eventual_order, eventual_argmin
-from .apprtype import ApproxType, Fixed, NotFixed
+from .apprtype import ApproxType, Fixed
 from .reldeg import approx_coefficient, rel_degree, reduced_factor_shape
 from .tamegal import TameCyclic, valuation_independence_witness
 from .curated import trace_pulldown_scenario
@@ -41,12 +40,10 @@ def _load_type(args, cfg: SessionConfig) -> ApproxType:
     target = parse_series(desc["target"], p)
     ground = resolve_predicate(desc.get("ground", "Z[1/p]"), p)
     hint = parse_cut(desc["hint"]) if desc.get("hint") else None
-    minpoly = parse_poly(desc["minpoly"], p) if desc.get("minpoly") else None
     return ApproxType.from_truncations(
         target,
         ground,
         transcendental=bool(desc.get("transcendental", False)),
-        minpoly=minpoly,
         distance_hint=hint,
         window=cfg.window,
         tail_depth=cfg.tail_depth,
@@ -236,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         "Hahn series.",
     )
     parser.add_argument("--p", type=int, default=None, help="residue prime")
-    parser.add_argument("--precision", type=str, default=None)
-    parser.add_argument("--depth", type=int, default=None)
+    parser.add_argument("--depth", type=int, default=None, help="tail depth")
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--config", type=str, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -289,10 +285,8 @@ def main(argv=None) -> int:
         cfg = load_config_file(args.config, cfg)
     if args.p is not None:
         cfg = replace(cfg, p=args.p)
-    if args.precision is not None:
-        cfg = replace(cfg, precision=Fraction(args.precision))
     if args.depth is not None:
-        cfg = replace(cfg, depth=args.depth, tail_depth=args.depth)
+        cfg = replace(cfg, tail_depth=args.depth)
     try:
         cfg = cfg.validated()
         return args.fn(args, cfg)

@@ -7,7 +7,6 @@ Values come from CLI flags with an optional key=value file override
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .errors import PreconditionError
 
@@ -15,23 +14,19 @@ from .errors import PreconditionError
 @dataclass(frozen=True)
 class SessionConfig:
     p: int = 3
-    precision: Fraction = Fraction(1)
-    depth: int = 8
     window: int = 4
     tail_depth: int = 6
 
     def validated(self) -> "SessionConfig":
         if self.p < 2 or any(self.p % k == 0 for k in range(2, self.p)):
             raise PreconditionError(f"p must be prime, got {self.p}")
-        if self.depth < 1 or self.window < 1 or self.tail_depth < 1:
+        if self.window < 1 or self.tail_depth < 1:
             raise PreconditionError("depth knobs must be positive")
         return self
 
 
 _FIELDS = {
     "p": int,
-    "precision": Fraction,
-    "depth": int,
     "window": int,
     "tail_depth": int,
 }

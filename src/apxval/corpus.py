@@ -8,7 +8,6 @@ immediate from definitions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -18,7 +17,6 @@ from .ordval import Cut, format_value, scale_cut, shift_cut
 from .hahn import Series, invert
 from .valpoly import binom_val
 from .envelope import AffineFamily, eventual_argmin
-from .apprtype import NotFixed
 from .curated import (
     theta_f_of_theta_exact,
     theta_minpoly,
@@ -26,7 +24,7 @@ from .curated import (
     trace_pulldown_scenario,
 )
 from .tamegal import TameCyclic, crossed_hom_check, valuation_independence_witness
-from .reldeg import coefficient_dist_law, rel_degree, reduced_factor_shape, sampled_law
+from .reldeg import rel_degree, reduced_factor_shape
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,6 @@ def theta_type(
         theta_target(p, terms, precision),
         p_power_denominators(p),
         distance_hint=Cut.strictly_below(0),
-        minpoly=theta_minpoly(p),
         transcendental=transcendental,
     )
 

@@ -1,9 +1,15 @@
-"""Eventual strict ordering of a finite affine family.
+"""Eventual strict ordering of a finite affine family, and the affine law
+v(f(x) - f(c)) = beta + h * v(x - c) read off it or off sampled values.
 
 Each item is a function gamma -> intercept + slope * gamma.  As gamma
 increases toward an approach cut, the family is eventually strictly
 ordered; this module computes the ordering permutation, an explicit
 threshold beta past which it holds, and the eventual argmin.
+
+The relative approximation degree law has two independent routes, and
+both use this module: ``envelope_law`` takes h as the eventual argmin of
+the Taylor-intercept family, ``fit_tail_law`` fits the law to sampled
+(gamma, value) points.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import PreconditionError, StabilizationError
 from .ordval import INF, Cut, GroupValue, is_finite
 
 
@@ -123,3 +129,40 @@ def eventual_argmin(family: AffineFamily) -> int:
         if idx in finite_idx:
             return idx
     raise PreconditionError("unreachable")
+
+
+def envelope_law(
+    betas: list[GroupValue], approach: Cut
+) -> tuple[int, GroupValue, Fraction]:
+    """h, beta_h and the order threshold of the Taylor-intercept family
+    i -> beta_i + i * gamma (i = 1..len(betas)): h is its eventual argmin
+    toward the approach cut, and its order holds past the threshold."""
+    fam = AffineFamily.make(
+        [(i, b, i) for i, b in enumerate(betas, 1)], approach
+    )
+    h = eventual_argmin(fam)
+    return h, betas[h - 1], eventual_order(fam).beta
+
+
+def fit_tail_law(
+    points: list[tuple[Fraction, Fraction]],
+) -> tuple[int, Fraction]:
+    """The law w = beta + h * gamma, h a positive integer, through the last
+    two of the finite (gamma, w) points, checked on every point.  Raises
+    StabilizationError when there are fewer than two points or no such law
+    holds on all of them."""
+    if len(points) < 2:
+        raise StabilizationError("too few points to fit an affine law")
+    (g1, w1), (g2, w2) = points[-2], points[-1]
+    h = Fraction(w2 - w1, g2 - g1)
+    if h.denominator != 1 or h < 1:
+        raise StabilizationError(f"law slope {h} is not a positive integer")
+    h = int(h)
+    beta = w1 - h * g1
+    for g, w in points:
+        if w != beta + h * g:
+            raise StabilizationError(
+                f"values follow no affine law: ({g}, {w}) is off the line "
+                f"w = {beta} + {h} * gamma"
+            )
+    return h, beta

@@ -16,7 +16,7 @@ subfield predicates.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -29,17 +29,20 @@ from .errors import (
     NotRepresentable,
     PreconditionError,
 )
-from .ordval import INF, GroupValue, is_finite
+from .ordval import INF, GroupValue
 
 
 @dataclass(frozen=True)
 class SubfieldPredicate:
     """A decidable predicate on exponents carving a ground field out of the
     ambient Hahn field.  The accepted set must be a subgroup of Q containing Z.
+
+    The name is the predicate's identity: every constructor puts its
+    parameters into it, and equality and hash read only the name.
     """
 
     name: str
-    accepts: Callable[[Fraction], bool]
+    accepts: Callable[[Fraction], bool] = field(compare=False)
 
     def __call__(self, e: Fraction) -> bool:
         return self.accepts(e)

@@ -168,7 +168,7 @@ def parse_poly(text: str, p: int):
             have_coeff = True
             sc.eat("*")
         elif sc.peek() == "t":
-            coeff = parse_series_prefix(sc, p)
+            coeff = Series.make(p, [(_parse_exponent(sc), 1)])
             have_coeff = True
             sc.eat("*")
         elif sc.peek() not in ("X", ""):
@@ -188,11 +188,6 @@ def parse_poly(text: str, p: int):
             break
     top = max(coeffs) if coeffs else 0
     return ValPoly.make(p, (coeffs.get(i, Series.zero(p)) for i in range(top + 1)))
-
-
-def parse_series_prefix(sc: _Scanner, p: int) -> Series:
-    e = _parse_exponent(sc)
-    return Series.make(p, [(e, 1)])
 
 
 def format_poly(f) -> str:

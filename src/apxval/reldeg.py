@@ -21,12 +21,13 @@ from .errors import (
     InternalInconsistency,
     MarkerViolation,
     PreconditionError,
+    StabilizationError,
 )
-from .hahn import Series, invert, truncate_to_subfield
+from .hahn import Series, invert
 from .ordval import INF, Cut, GroupValue, is_finite, scale_cut, shift_cut
 from .valpoly import ValPoly, f_adic_expand, formal_derivative, taylor_coefficients
-from .apprtype import ApproxType, Fixed, NotFixed, pushed_forward
-from .envelope import AffineFamily, eventual_argmin, eventual_order
+from .apprtype import ApproxType, Fixed, pushed_forward
+from .envelope import AffineFamily, envelope_law, eventual_argmin, fit_tail_law
 
 
 @dataclass(frozen=True)
@@ -35,14 +36,6 @@ class RelDegree:
     beta: GroupValue
     taylor_intercepts: tuple[GroupValue, ...]
     poly: ValPoly
-
-
-@dataclass(frozen=True)
-class ElementProxy:
-    """An element y given as f(x) + r with v(r) at or above the floor."""
-
-    poly: ValPoly
-    perturbation_floor: Cut
 
 
 @dataclass(frozen=True)
@@ -57,15 +50,11 @@ class NotFixedLaw:
     beta: GroupValue
 
 
-def sampled_law(
+def _tail_values(
     A: ApproxType, f: ValPoly, above: Optional[GroupValue] = None
-) -> tuple[int, GroupValue]:
-    """Fit v(f(x) - f(c_n)) = beta + h * gamma_n exactly on the tail.
-
-    The affine law only holds once gamma_n has passed every crossing of the
-    derivative-value family; callers that know that threshold pass it as
-    ``above`` so the fit is restricted to the stable region.
-    """
+) -> list[tuple[GroupValue, GroupValue]]:
+    """The finite, determinate points (gamma_n, v(f(x) - f(c_n))) of the
+    tail with gamma_n past ``above``."""
     fx = f(A.target)
     pts = []
     for n in A.tail():
@@ -81,18 +70,35 @@ def sampled_law(
         if w is INF:
             continue
         pts.append((g, w))
+    return pts
+
+
+def _check_tail_law(points, h: int, beta: GroupValue, message: str):
+    """InternalInconsistency unless every (gamma, w) point lies on the
+    predicted law w = beta + h * gamma.  Two points of that line go last, so
+    fit_tail_law fits exactly it and checks every tail point against it."""
+    try:
+        fit_tail_law([*points, (0, beta), (1, beta + h)])
+    except StabilizationError as exc:
+        raise InternalInconsistency(f"{message}: {exc}") from exc
+
+
+def sampled_law(
+    A: ApproxType, f: ValPoly, above: Optional[GroupValue] = None
+) -> tuple[int, GroupValue]:
+    """Fit v(f(x) - f(c_n)) = beta + h * gamma_n exactly on the tail.
+
+    The affine law only holds once gamma_n has passed every crossing of the
+    derivative-value family; callers that know that threshold pass it as
+    ``above`` so the fit is restricted to the stable region.
+    """
+    pts = _tail_values(A, f, above)
     if len(pts) < 2:
         raise InsufficientPrecision("too few determinate tail values")
-    (g1, w1), (g2, w2) = pts[-2], pts[-1]
-    h = Fraction(w2 - w1, g2 - g1)
-    if h.denominator != 1 or h < 1:
-        raise InternalInconsistency(f"sampled slope {h} is not a positive integer")
-    h = int(h)
-    beta = w1 - h * g1
-    for g, w in pts:
-        if w != beta + h * g:
-            raise InternalInconsistency("tail values follow no affine law")
-    return h, beta
+    try:
+        return fit_tail_law(pts)
+    except StabilizationError as exc:
+        raise InternalInconsistency(f"sampled tail: {exc}") from exc
 
 
 def rel_degree(A: ApproxType, f: ValPoly) -> RelDegree:
@@ -106,13 +112,9 @@ def rel_degree(A: ApproxType, f: ValPoly) -> RelDegree:
         raise MarkerViolation(
             "some derivative value is not fixed at this depth"
         )
-    fam = AffineFamily.make(
-        [(i + 1, b, i + 1) for i, b in enumerate(betas)], A.distance()
-    )
-    h = eventual_argmin(fam)
-    beta = betas[h - 1]
+    h, beta, threshold = envelope_law(betas, A.distance())
     try:
-        h_s, beta_s = sampled_law(A, f, above=eventual_order(fam).beta)
+        h_s, beta_s = sampled_law(A, f, above=threshold)
     except InsufficientPrecision:
         h_s, beta_s = h, beta  # cannot sample; trust the envelope alone
     if (h_s, beta_s) != (h, beta):
@@ -151,17 +153,16 @@ def rel_degree_general(
     if m == 0:
         return FixedCase(gammas[0])
     beta = gammas[m] + m * rd.beta
-    # verify the law v(g(c_n)) = beta + m*h*gamma_n on the tail
+    pts = []
     for n in A.tail():
-        gam = A.gamma(n)
         try:
-            w = g(A.approximants[n]).val()
+            pts.append((A.gamma(n), g(A.approximants[n]).val()))
         except IndeterminateValuation:
             continue
-        if w != beta + m * rd.h * gam:
-            raise InternalInconsistency(
-                "digit-expansion law disagrees with direct evaluation"
-            )
+    _check_tail_law(
+        pts, m * rd.h, beta,
+        "digit-expansion law disagrees with direct evaluation",
+    )
     return NotFixedLaw(m, rd.h, beta)
 
 
@@ -206,7 +207,11 @@ def approx_coefficient(A: ApproxType, f: ValPoly) -> tuple[Series, RelDegree]:
             break  # every longer truncation keeps this exponent
         cand = last.prefix(k)
         if _certify_coefficient(samples, cand):
-            _verify_coefficient_law(A, f, rd, cand)
+            # the defining identity v(f(x) - f(c_n)) = v(d * (x - c_n)^h)
+            _check_tail_law(
+                _tail_values(A, f), rd.h, cand.val(),
+                "approximation coefficient fails the defining value identity",
+            )
             return cand, rd
     raise InsufficientPrecision(
         "no truncation of f_h(c) certifies as an approximation coefficient"
@@ -228,40 +233,14 @@ def _certify_coefficient(samples: list[Series], d: Series) -> bool:
     return True
 
 
-def _verify_coefficient_law(
-    A: ApproxType, f: ValPoly, rd: RelDegree, d: Series
-):
-    """v(f(x) - f(c_n)) = v(d * (x - c_n)^h) on the determinate tail."""
-    fx = f(A.target)
-    vd = d.val()
-    for n in A.tail():
-        gam = A.gamma(n)
-        try:
-            w = (fx - f(A.approximants[n])).val()
-        except IndeterminateValuation:
-            continue
-        if w is INF or not is_finite(gam):
-            continue
-        if w != vd + rd.h * gam:
-            raise InternalInconsistency(
-                "approximation coefficient fails the defining value identity"
-            )
-
-
 def coefficient_dist_law(A: ApproxType, h: int, d: Series) -> Cut:
     """dist(f(x), K) transported: vd + h * dist(x, K)."""
     return shift_cut(d.val(), scale_cut(h, A.distance()))
 
 
-def h_of_element(A: ApproxType, y: ElementProxy) -> RelDegree:
-    """h of an element given through a polynomial proxy; independent of the
-    proxy choice by construction."""
-    return rel_degree(A, y.poly)
-
-
 def greedy_proxy(
     A: ApproxType, y: Series, max_degree: int
-) -> Optional[ElementProxy]:
+) -> Optional[ValPoly]:
     """Best-effort search for f with v(y - f(x)) beyond every observed
     approximant value of y: greedily match leading terms with monomials in
     x.  Failure returns None; it is a search miss, not an error."""
@@ -307,13 +286,7 @@ def greedy_proxy(
                 break
         if not matched:
             return None
-    try:
-        floor_v = rem.val()
-    except IndeterminateValuation:
-        floor_v = rem.precision
-    if floor_v is INF:
-        return ElementProxy(acc, Cut.plus_infinity())
-    return ElementProxy(acc, Cut.below_or_equal(floor_v))
+    return acc
 
 
 def check_multiplicativity(A: ApproxType, f: ValPoly, g: ValPoly) -> bool:
@@ -328,17 +301,18 @@ def check_multiplicativity(A: ApproxType, f: ValPoly, g: ValPoly) -> bool:
 
 def combine_same_degree(
     A: ApproxType,
-    proxies: list[ElementProxy],
+    proxies: list[ValPoly],
     ks: list[Series],
     ds: list[Series],
 ) -> RelDegree:
-    """h of sum(k_i * f_i(x)) when the coefficient combination does not
-    cancel: v(sum k_i d_i) must equal min v(k_i d_i) and be finite."""
+    """h of sum(k_i * f_i(x)) for elements given by polynomial proxies f_i,
+    when the coefficient combination does not cancel: v(sum k_i d_i) must
+    equal min v(k_i d_i) and be finite."""
     if not (len(proxies) == len(ks) == len(ds)) or not proxies:
         raise PreconditionError("need matching nonempty proxy/k/d lists")
     hs = set()
     for prox, d in zip(proxies, ds):
-        rd = rel_degree(A, prox.poly)
+        rd = rel_degree(A, prox)
         hs.add(rd.h)
     if len(hs) != 1:
         raise PreconditionError("proxies must share a common h")
@@ -358,7 +332,7 @@ def combine_same_degree(
         )
     combo = ValPoly.zero(A.target.p)
     for k, prox in zip(ks, proxies):
-        combo = combo + prox.poly.scale(k)
+        combo = combo + prox.scale(k)
     rd = rel_degree(A, combo)
     if rd.h != h:
         raise InternalInconsistency(

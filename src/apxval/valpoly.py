@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .errors import InsufficientPrecision, PreconditionError
-from .hahn import Series, invert
+from .errors import PreconditionError
+from .hahn import Series
 from .ordval import INF, GroupValue
 
 

@@ -31,7 +31,6 @@ from apxval.hahn import Series, invert, p_power_denominators
 from apxval.ordval import INF, Cut, scale_cut, shift_cut
 from apxval.parsing import format_series, parse_series
 from apxval.reldeg import (
-    ElementProxy,
     approx_coefficient,
     check_multiplicativity,
     coefficient_dist_law,
@@ -465,18 +464,12 @@ def test_criterion_8_approximation_coefficients():
         A = theta_type(p)
         f = theta_minpoly(p)
         one = Series.one(p)
-        proxies = [
-            ElementProxy(f, Cut.plus_infinity()),
-            ElementProxy(f + ValPoly(p, (one,)), Cut.plus_infinity()),
-        ]
+        proxies = [f, f + ValPoly(p, (one,))]
         rd = combine_same_degree(A, proxies, [one, one], [one, one])
         assert rd.h == p
         # ... and the coefficient-cancellation case is rejected
         neg = Series.monomial(p, 0, p - 1)
-        proxies = [
-            ElementProxy(f, Cut.plus_infinity()),
-            ElementProxy(f, Cut.plus_infinity()),
-        ]
+        proxies = [f, f]
         with pytest.raises(PreconditionError, match="cancellation"):
             combine_same_degree(A, proxies, [one, neg], [one, one])
         return "3 anchors + 50 randomized + combination laws"

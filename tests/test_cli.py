@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,17 +207,75 @@ def test_corpus_deterministic():
 
 def test_config_file_override(tmp_path):
     path = tmp_path / "session.cfg"
-    path.write_text("p = 5\nprecision = 3/2\ntail_depth = 7\n# comment\n")
+    path.write_text("p = 5\ntail_depth = 7\n# comment\n")
     cfg = load_config_file(str(path), SessionConfig())
     assert cfg.p == 5
-    assert str(cfg.precision) == "3/2"
     assert cfg.tail_depth == 7
 
 
 def test_config_rejects_unknown_key(tmp_path):
     from apxval.errors import PreconditionError
 
-    path = tmp_path / "bad.cfg"
-    path.write_text("nope = 1\n")
-    with pytest.raises(PreconditionError):
-        load_config_file(str(path), SessionConfig())
+    # depth and precision were session knobs once; no code reads them now
+    for key in ("nope", "depth", "precision"):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = 1\n")
+        with pytest.raises(PreconditionError, match=f"unknown key '{key}'"):
+            load_config_file(str(path), SessionConfig())
+
+
+@pytest.mark.parametrize("key", ["depth", "precision"])
+def test_cli_exits_1_on_retired_config_key(tmp_path, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = 3\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "apxval.cli", "--config", str(cfg),
+         "eval", "t"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert f"unknown key '{key}'" in proc.stderr
+
+
+def test_reldeg_internal_inconsistency_exit_code(capsys, tmp_path, monkeypatch):
+    from apxval.apprtype import ApproxType
+
+    real = ApproxType.taylor_intercepts
+
+    def shifted(self, g):
+        betas = real(self, g)
+        return betas[:-1] + [betas[-1] + 1]
+
+    monkeypatch.setattr(ApproxType, "taylor_intercepts", shifted)
+    path = _theta_type_file(tmp_path, 3)
+    code, out, err = run_cli(
+        capsys, "--p", "3", "reldeg", "--type", path,
+        "--poly", "X^3 + (2)*X + (2*t^(-1))",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal inconsistency:")
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_depth_knob_sets_law_verification_depth(capsys, tmp_path, how):
+    path = _theta_type_file(tmp_path, 3)
+    if how == "flag":
+        knob = ["--depth", "3"]
+    else:
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text("tail_depth = 3\n")
+        knob = ["--config", str(cfg)]
+    code, out, _ = run_cli(
+        capsys, "--p", "3", *knob, "--json", "reldeg", "--type", path,
+        "--poly", "X^3 + (2)*X + (2*t^(-1))",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["law_verification_depth"] == 3
+    assert (payload["h"], payload["beta"]) == (3, "0")

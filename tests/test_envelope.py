@@ -3,8 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from apxval.envelope import AffineFamily, eventual_argmin, eventual_order
-from apxval.errors import PreconditionError
+from apxval.envelope import (
+    AffineFamily,
+    envelope_law,
+    eventual_argmin,
+    eventual_order,
+    fit_tail_law,
+)
+from apxval.errors import PreconditionError, StabilizationError
 from apxval.ordval import INF, Cut
 
 
@@ -138,3 +144,64 @@ def test_argmin_invariant_under_common_shift():
             fam.approach,
         )
         assert eventual_argmin(fam) == eventual_argmin(shifted)
+
+
+# --- the two law routes' shared pieces --------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_envelope_law_theta_intercepts(p):
+    # theta's minimal polynomial X^p - X - 1/t: beta_1 = 0, beta_p = 0 and
+    # every middle Taylor coefficient vanishes exactly
+    betas = [Fraction(0)] + [INF] * (p - 2) + [Fraction(0)]
+    h, beta, threshold = envelope_law(betas, Cut.strictly_below(0))
+    assert (h, beta) == (p, 0)
+    assert threshold < 0
+
+
+def test_envelope_law_matches_the_family_it_builds():
+    rng = random.Random(5)
+    for _ in range(200):
+        betas = [
+            INF if rng.random() < 0.2 else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for _ in range(rng.randint(1, 6))
+        ]
+        if all(b is INF for b in betas):
+            with pytest.raises(PreconditionError):
+                envelope_law(betas, Cut.plus_infinity())
+            continue
+        approach = rng.choice(
+            [Cut.plus_infinity(), Cut.strictly_below(Fraction(rng.randint(-3, 3)))]
+        )
+        fam = AffineFamily.make(
+            [(i, b, i) for i, b in enumerate(betas, 1)], approach
+        )
+        h, beta, threshold = envelope_law(betas, approach)
+        assert h == eventual_argmin(fam)
+        assert beta == betas[h - 1]
+        assert threshold == eventual_order(fam).beta
+
+
+def test_fit_tail_law_exact_line():
+    pts = [(Fraction(-1, 3**k), 2 * Fraction(-1, 3**k) + Fraction(1, 2)) for k in (1, 2, 3, 4)]
+    assert fit_tail_law(pts) == (2, Fraction(1, 2))
+    assert fit_tail_law(pts[-2:]) == (2, Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "pts, message",
+    [
+        ([], "too few"),
+        ([(Fraction(1), Fraction(3))], "too few"),
+        ([(Fraction(1), Fraction(1)), (Fraction(3), Fraction(2))], "slope 1/2 "),
+        ([(Fraction(1), Fraction(4)), (Fraction(3), Fraction(4))], "slope 0 "),
+        ([(Fraction(1), Fraction(5)), (Fraction(3), Fraction(1))], "slope -2 "),
+        (
+            [(Fraction(0), Fraction(2)), (Fraction(1), Fraction(3)), (Fraction(2), Fraction(5))],
+            r"\(0, 2\) is off the line w = 1 \+ 2 \* gamma",
+        ),
+    ],
+)
+def test_fit_tail_law_failures(pts, message):
+    with pytest.raises(StabilizationError, match=message):
+        fit_tail_law(pts)

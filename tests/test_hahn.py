@@ -156,6 +156,19 @@ def test_truncate_to_subfield_edges():
         truncate_to_subfield(x, pred, Fraction(1))
 
 
+def test_subfield_predicates_compare_by_name():
+    from apxval.curated import theta_type
+    from apxval.hahn import resolve_predicate
+
+    a, b = theta_type(3), theta_type(3)
+    assert a.ground == b.ground and hash(a.ground) == hash(b.ground)
+    assert a == b and hash(a) == hash(b)
+    assert theta_type(2) != theta_type(3)
+    assert theta_type(2).ground != theta_type(3).ground
+    assert resolve_predicate("Z[1/p]", 3) == p_power_denominators(3)
+    assert resolve_predicate("div6", 3) != resolve_predicate("div4", 3)
+
+
 def assert_series_invariants(s):
     """Strictly increasing exponents, coefficients in 1..p-1, all below
     precision: what the merge in ``+`` and the cutoff in ``*`` rely on."""

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from apxval.errors import PreconditionError
+from apxval.errors import (
+    InsufficientPrecision,
+    InternalInconsistency,
+    PreconditionError,
+    StabilizationError,
+)
 from apxval.hahn import Series, p_power_denominators
 from apxval.ordval import Cut, scale_cut, shift_cut
 from apxval.valpoly import ValPoly, formal_derivative
@@ -15,7 +20,6 @@ from apxval.curated import (
     theta_type,
 )
 from apxval.reldeg import (
-    ElementProxy,
     FixedCase,
     NotFixedLaw,
     approx_coefficient,
@@ -23,7 +27,6 @@ from apxval.reldeg import (
     coefficient_dist_law,
     combine_same_degree,
     greedy_proxy,
-    h_of_element,
     h_upper_bound_from_coeffs,
     reduced_factor_shape,
     rel_degree,
@@ -161,14 +164,14 @@ def test_coefficient_dist_law():
     assert cut == Cut.strictly_below(0)
 
 
-def test_h_of_element_proxy_independence():
+def test_rel_degree_proxy_independence():
     p = 3
     A = theta_type(p)
     f = theta_minpoly(p)
-    rd1 = h_of_element(A, ElementProxy(f, Cut.plus_infinity()))
+    rd1 = rel_degree(A, f)
     # second proxy differing by a polynomial of very high value
     g = f + ValPoly(p, (Series.zero(p), Series.monomial(p, 10)))
-    rd2 = h_of_element(A, ElementProxy(g, Cut.below_or_equal(10)))
+    rd2 = rel_degree(A, g)
     assert (rd1.h, rd1.beta) == (rd2.h, rd2.beta)
 
 
@@ -179,7 +182,7 @@ def test_greedy_proxy_recovers_polynomial():
     y = x * x + Series.t(p) * x
     prox = greedy_proxy(A, y, 2)
     assert prox is not None
-    diff = y - prox.poly(x)
+    diff = y - prox(x)
     assert diff.is_exact_zero or not diff.terms
 
 
@@ -203,10 +206,7 @@ def test_combine_same_degree():
     A = theta_type(p)
     f = theta_minpoly(p)
     one = Series.one(p)
-    proxies = [
-        ElementProxy(f, Cut.plus_infinity()),
-        ElementProxy(f + ValPoly(p, (one,)), Cut.plus_infinity()),
-    ]
+    proxies = [f, f + ValPoly(p, (one,))]
     ds = [one, one]
     rd = combine_same_degree(A, proxies, [one, one], ds)
     assert rd.h == p
@@ -218,10 +218,7 @@ def test_combine_rejects_cancellation():
     f = theta_minpoly(p)
     one = Series.one(p)
     neg = Series.monomial(p, 0, p - 1)
-    proxies = [
-        ElementProxy(f, Cut.plus_infinity()),
-        ElementProxy(f, Cut.plus_infinity()),
-    ]
+    proxies = [f, f]
     with pytest.raises(PreconditionError, match="cancellation"):
         combine_same_degree(A, proxies, [one, neg], [one, one])
 
@@ -286,3 +283,135 @@ def test_dist_inequality_chain():
     B = ApproxType.from_truncations(fx_exact, p_power_denominators(p))
     assert B.distance() == Cut.plus_infinity()
     assert B.distance() > image_cut
+
+
+# --- failure branches of the two law routes ---------------------------------
+
+
+def _shift_last_intercept(monkeypatch):
+    """Patch the envelope's input so that it predicts another law than the
+    sampled tail values follow."""
+    real = ApproxType.taylor_intercepts
+
+    def shifted(self, g):
+        betas = real(self, g)
+        return None if betas is None else betas[:-1] + [betas[-1] + 1]
+
+    monkeypatch.setattr(ApproxType, "taylor_intercepts", shifted)
+
+
+def test_rel_degree_routes_disagree(monkeypatch):
+    p = 3
+    A = theta_type(p)
+    _shift_last_intercept(monkeypatch)
+    with pytest.raises(InternalInconsistency, match="envelope gives"):
+        rel_degree(A, theta_minpoly(p))
+
+
+def test_fixes_value_routes_disagree(monkeypatch):
+    p = 3
+    A = theta_type(p)
+    _shift_last_intercept(monkeypatch)
+    with pytest.raises(InternalInconsistency, match="envelope prediction"):
+        A.fixes_value(theta_minpoly(p))
+
+
+def _misreport_rel_degree(monkeypatch, **wrong):
+    """Patch rel_degree, as the other reldeg functions see it, to report a
+    wrong h or beta; their tail checks must catch it."""
+    import dataclasses
+
+    import apxval.reldeg as reldeg
+
+    real = reldeg.rel_degree
+    monkeypatch.setattr(
+        reldeg,
+        "rel_degree",
+        lambda A, f: dataclasses.replace(real(A, f), **wrong),
+    )
+
+
+def test_rel_degree_general_checks_the_digit_law(monkeypatch):
+    p = 3
+    A = theta_type(p)
+    f = theta_minpoly(p)
+    _misreport_rel_degree(monkeypatch, beta=Fraction(1))
+    with pytest.raises(InternalInconsistency, match="digit-expansion law"):
+        rel_degree_general(A, f, f)
+
+
+def test_approx_coefficient_checks_the_defining_identity(monkeypatch):
+    p = 3
+    A = theta_type(p)
+    # with h = 1 the candidate is f' = -1, which certifies, but
+    # v(f(x) - f(c_n)) grows like 3 * gamma_n, not gamma_n
+    _misreport_rel_degree(monkeypatch, h=1)
+    with pytest.raises(InternalInconsistency, match="defining value identity"):
+        approx_coefficient(A, theta_minpoly(p))
+
+
+class _ValueTable:
+    """Stands in for a polynomial through its values: the type's target maps
+    to ``at_target`` and approximant n to ``at[n]``."""
+
+    is_zero = False
+
+    def __init__(self, A, at_target, at):
+        self.table = dict(zip(A.approximants, at))
+        self.table[A.target] = at_target
+
+    def degree(self):
+        return 2
+
+    def __call__(self, s):
+        return self.table[s]
+
+
+# value of the tail point at approximant n (of len_ approximants) as a function
+# of gamma_n, or None for an exactly vanishing value; the fit goes through
+# the last two tail points, so the point off the line comes before them
+_SHAPES = {
+    "one-point": lambda n, len_, g: g if n == len_ - 1 else None,
+    "slope-1/2": lambda n, len_, g: g / 2,
+    "slope-0": lambda n, len_, g: Fraction(5),
+    "off-the-line": lambda n, len_, g: 2 * g + (1 if n == len_ - 3 else 0),
+}
+# what each failure says
+_SHAPE_MESSAGES = {
+    "one-point": "too few",
+    "slope-1/2": "slope 1/2 is not a positive integer",
+    "slope-0": "slope 0 is not a positive integer",
+    "off-the-line": "no .*affine law",
+}
+
+
+def _shaped_values(A, shape):
+    """Monomials whose values follow ``shape`` (zero where it gives None)."""
+    p = A.target.p
+    len_ = len(A.approximants)
+    out = []
+    for n in range(len_):
+        w = _SHAPES[shape](n, len_, A.gamma(n))
+        out.append(Series.zero(p) if w is None else Series.monomial(p, w))
+    return out
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_sampled_law_failure_shapes(shape):
+    p = 3
+    A = theta_type(p)
+    f = _ValueTable(A, Series.zero(p), _shaped_values(A, shape))
+    err = InsufficientPrecision if shape == "one-point" else InternalInconsistency
+    with pytest.raises(err, match=_SHAPE_MESSAGES[shape]):
+        sampled_law(A, f)
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_fixes_value_failure_shapes(shape):
+    p = 3
+    A = theta_type(p)
+    # the target's value differs from every tail value, so a constant
+    # window does not count as stabilized
+    g = _ValueTable(A, Series.monomial(p, 7), _shaped_values(A, shape))
+    with pytest.raises(StabilizationError, match=_SHAPE_MESSAGES[shape]):
+        A.fixes_value(g)
