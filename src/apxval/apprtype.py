@@ -10,7 +10,7 @@ assertions; any observed counterexample raises a MarkerViolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import (
@@ -21,7 +21,15 @@ from .errors import (
     PreconditionError,
 )
 from .hahn import Series, SubfieldPredicate, in_subfield
-from .ordval import INF, Cut, GroupValue, compare_value_cut, is_finite
+from .ordval import (
+    INF,
+    Cut,
+    GroupValue,
+    compare_value_cut,
+    is_finite,
+    scale_cut,
+    shift_cut,
+)
 from .valpoly import ValPoly, taylor_coefficients
 from .envelope import envelope_law, fit_tail_law
 
@@ -94,6 +102,8 @@ class ApproxType:
         )
 
     def __post_init__(self):
+        if not self.approximants:
+            raise PreconditionError("a type needs at least one approximant")
         gammas = []
         for c in self.approximants:
             if not in_subfield(c, self.ground):
@@ -146,13 +156,6 @@ class ApproxType:
         # every visible term is admissible: precision-limited
         return Cut.below_or_equal(self.target.precision)
 
-    def precision_limited(self) -> bool:
-        return (
-            self.distance_hint is None
-            and self.target.precision is not INF
-            and all(self.ground(e) for e, _ in self.target.terms)
-        )
-
     def tail(self) -> list[int]:
         n = len(self.approximants)
         return list(range(max(0, n - self.tail_depth), n))
@@ -183,10 +186,8 @@ class ApproxType:
 
     # -- fixed-value analysis -------------------------------------------
 
-    def _poly_values(self, g: ValPoly, indices=None) -> list[GroupValue]:
-        if indices is None:
-            indices = range(len(self.approximants))
-        return [g(self.approximants[n]).val() for n in indices]
+    def _poly_values(self, g: ValPoly) -> list[GroupValue]:
+        return [g(c).val() for c in self.approximants]
 
     def _stabilized(self, values: list[GroupValue]) -> Optional[GroupValue]:
         w = min(self.window, len(values))
@@ -313,8 +314,6 @@ def pushed_forward(
 ) -> ApproxType:
     """The type of f(target) over the same ground, with image approximants
     f(c_n) and the distance transported along the affine law."""
-    from .ordval import scale_cut, shift_cut
-
     target = f(A.target)
     hint = shift_cut(beta, scale_cut(h, A.distance()))
     # The affine law only holds eventually, so early image approximants may
@@ -328,13 +327,6 @@ def pushed_forward(
         if prev is not None and not g > prev:
             start = i
         prev = g
-    return ApproxType(
-        target,
-        A.ground,
-        tuple(images[start:]),
-        cofinal=A.cofinal,
-        transcendental=A.transcendental,
-        distance_hint=hint,
-        window=A.window,
-        tail_depth=A.tail_depth,
+    return replace(
+        A, target=target, approximants=tuple(images[start:]), distance_hint=hint
     )

@@ -10,20 +10,23 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 from .config import SessionConfig, load_config_file
 from .errors import ApxError, InternalInconsistency
-from .ordval import format_value, parse_cut, scale_cut, shift_cut
+from .ordval import format_value, parse_cut, parse_value
 from .hahn import Series, resolve_predicate
 from .parsing import ParseError, format_series, parse_poly, parse_series
 from .envelope import AffineFamily, eventual_order, eventual_argmin
 from .apprtype import ApproxType, Fixed
-from .reldeg import approx_coefficient, rel_degree, reduced_factor_shape
+from .reldeg import (
+    approx_coefficient,
+    coefficient_dist_law,
+    rel_degree,
+    reduced_factor_shape,
+)
 from .tamegal import TameCyclic, valuation_independence_witness
 from .curated import trace_pulldown_scenario
 from .corpus import run_corpus
-from .ordval import INF
 
 
 def _emit(args, payload: dict, text: str):
@@ -121,7 +124,7 @@ def cmd_approx_coeff(args, cfg):
     A = _load_type(args, cfg)
     f = parse_poly(args.poly, cfg.p)
     d, rd = approx_coefficient(A, f)
-    dist = shift_cut(d.val(), scale_cut(rd.h, A.distance()))
+    dist = coefficient_dist_law(A, rd.h, d)
     payload = {
         "d": format_series(d),
         "vd": format_value(d.val()),
@@ -154,11 +157,7 @@ def cmd_envelope(args, cfg):
     desc = json.loads(args.family)
     approach = parse_cut(desc["approach"])
     items = [
-        (
-            it["i"],
-            INF if it["intercept"] == "inf" else Fraction(it["intercept"]),
-            it["slope"],
-        )
+        (it["i"], parse_value(str(it["intercept"])), it["slope"])
         for it in desc["items"]
     ]
     fam = AffineFamily.make(items, approach)
@@ -281,13 +280,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = SessionConfig()
-    if args.config:
-        cfg = load_config_file(args.config, cfg)
-    if args.p is not None:
-        cfg = replace(cfg, p=args.p)
-    if args.depth is not None:
-        cfg = replace(cfg, tail_depth=args.depth)
     try:
+        if args.config:
+            cfg = load_config_file(args.config, cfg)
+        if args.p is not None:
+            cfg = replace(cfg, p=args.p)
+        if args.depth is not None:
+            cfg = replace(cfg, tail_depth=args.depth)
         cfg = cfg.validated()
         return args.fn(args, cfg)
     except ParseError as exc:

@@ -4,7 +4,9 @@ v(f(x) - f(c)) = beta + h * v(x - c) read off it or off sampled values.
 Each item is a function gamma -> intercept + slope * gamma.  As gamma
 increases toward an approach cut, the family is eventually strictly
 ordered; this module computes the ordering permutation, an explicit
-threshold beta past which it holds, and the eventual argmin.
+threshold beta past which it holds, and the eventual argmin.  One query
+is one sort: the threshold comes from the crossings of neighbours in the
+sorted order, not from all pairs.
 
 The relative approximation degree law has two independent routes, and
 both use this module: ``envelope_law`` takes h as the eventual argmin of
@@ -14,7 +16,6 @@ the Taylor-intercept family, ``fit_tail_law`` fits the law to sampled
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,19 +23,14 @@ from .errors import PreconditionError, StabilizationError
 from .ordval import INF, Cut, GroupValue, is_finite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineItem:
     index: int
     intercept: GroupValue
     slope: int
 
-    def at(self, gamma: Fraction) -> GroupValue:
-        if self.intercept is INF:
-            return INF
-        return self.intercept + self.slope * gamma
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineFamily:
     items: tuple[AffineItem, ...]
     approach: Cut
@@ -53,7 +49,7 @@ class AffineFamily:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventualOrder:
     """Permutation (descending: first item is eventually largest) plus a
     threshold beta valid for every gamma with beta <= gamma below the cut."""
@@ -62,73 +58,60 @@ class EventualOrder:
     permutation: tuple[int, ...]
 
 
-def _crossings(items: tuple[AffineItem, ...]) -> list[Fraction]:
-    xs = []
-    finite = [it for it in items if is_finite(it.intercept)]
-    for a in finite:
-        for b in finite:
-            if a.slope < b.slope:
-                xs.append(Fraction(a.intercept - b.intercept, b.slope - a.slope))
-    return xs
-
-
 def _descending_key(approach: Cut):
-    """Comparator for the eventual order just below the approach cut:
-    infinite intercepts first; toward +inf sort by slope descending; toward
-    a principal boundary g0 sort by value at g0 descending, ties by slope
-    ascending (just below g0 the smaller slope is larger among items equal
-    at g0)."""
+    """Sort key for the eventual order just below the approach cut:
+    infinite intercepts first (kept in family order); toward +inf by slope
+    descending; toward a principal boundary g0 by value at g0 descending,
+    ties by slope ascending (just below g0 the smaller slope is larger
+    among items equal at g0)."""
+    g0 = None if approach.is_infinite else approach.boundary
 
-    def cmp(a: AffineItem, b: AffineItem) -> int:
-        a_inf = a.intercept is INF
-        b_inf = b.intercept is INF
-        if a_inf or b_inf:
-            if a_inf and b_inf:
-                return 0
-            return -1 if a_inf else 1
-        if approach.is_infinite:
-            return -1 if a.slope > b.slope else (1 if a.slope < b.slope else 0)
-        g0 = approach.boundary
-        va = a.intercept + a.slope * g0
-        vb = b.intercept + b.slope * g0
-        if va != vb:
-            return -1 if va > vb else 1
-        if a.slope != b.slope:
-            return -1 if a.slope < b.slope else 1
-        return 0
+    def key(it: AffineItem):
+        if it.intercept is INF:
+            return (0,)
+        if g0 is None:
+            return (1, -it.slope)
+        return (1, -(it.intercept + it.slope * g0), it.slope)
 
-    return functools.cmp_to_key(cmp)
+    return key
 
 
 def eventual_order(family: AffineFamily) -> EventualOrder:
     """The strict descending order holding for all gamma past beta and
     below the approach cut."""
-    items = family.items
-    crossings = _crossings(items)
-    top = max(crossings) if crossings else None
-    if family.approach.is_infinite:
-        beta = (top + 1) if top is not None else Fraction(0)
+    approach = family.approach
+    ordered = sorted(family.items, key=_descending_key(approach))
+    # Past the last crossing that matters the order is the sorted one, and
+    # the items meeting at that crossing are neighbours in it, so the
+    # crossings of neighbouring finite items reach the all-pairs maximum.
+    finite = [it for it in ordered if is_finite(it.intercept)]
+    crossings = [
+        Fraction(a.intercept - b.intercept, b.slope - a.slope)
+        for a, b in zip(finite, finite[1:])
+    ]
+    if approach.is_infinite:
+        beta = max(crossings) + 1 if crossings else Fraction(0)
     else:
         # crossings at or above the boundary never disturb the order on an
         # interval just below it; only crossings below the boundary matter
-        g0 = family.approach.boundary
+        g0 = approach.boundary
         base = max([x for x in crossings if x < g0], default=g0 - 1)
         beta = Fraction(base + g0, 2)
-    ordered = sorted(items, key=_descending_key(family.approach))
     return EventualOrder(beta, tuple(it.index for it in ordered))
+
+
+def _ordered_argmin(family: AffineFamily) -> tuple[int, EventualOrder]:
+    """The eventual argmin among finite items, with the order it is read
+    from: infinite intercepts sort first, so it is the last item."""
+    if not any(is_finite(it.intercept) for it in family.items):
+        raise PreconditionError("all intercepts are infinite")
+    order = eventual_order(family)
+    return order.permutation[-1], order
 
 
 def eventual_argmin(family: AffineFamily) -> int:
     """The index that is eventually the strict minimum among finite items."""
-    finite = [it for it in family.items if is_finite(it.intercept)]
-    if not finite:
-        raise PreconditionError("all intercepts are infinite")
-    order = eventual_order(family)
-    finite_idx = {it.index for it in finite}
-    for idx in reversed(order.permutation):
-        if idx in finite_idx:
-            return idx
-    raise PreconditionError("unreachable")
+    return _ordered_argmin(family)[0]
 
 
 def envelope_law(
@@ -140,8 +123,8 @@ def envelope_law(
     fam = AffineFamily.make(
         [(i, b, i) for i, b in enumerate(betas, 1)], approach
     )
-    h = eventual_argmin(fam)
-    return h, betas[h - 1], eventual_order(fam).beta
+    h, order = _ordered_argmin(fam)
+    return h, betas[h - 1], order.beta
 
 
 def fit_tail_law(

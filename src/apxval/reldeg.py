@@ -132,6 +132,10 @@ def rel_degree_general(
     associated minimal polynomial."""
     if g.is_zero:
         raise PreconditionError("the zero polynomial has no value")
+    if isinstance(A.fixes_value(minpoly_f), Fixed):
+        raise PreconditionError(
+            "the type fixes the value of the claimed minimal polynomial"
+        )
     rd = rel_degree(A, minpoly_f)
     digits = f_adic_expand(g, minpoly_f)
     items = []

@@ -49,7 +49,6 @@ def test_distance_precision_limited():
     p = 3
     x = Series.make(p, [(i, 1) for i in range(5)], Fraction(5))
     A = ApproxType.from_truncations(x, integers_predicate())
-    assert A.precision_limited()
     assert A.distance() == Cut.below_or_equal(5)
 
 
@@ -241,6 +240,12 @@ def test_strictly_increasing_approximants_enforced():
             integers_predicate(),
             (Series.zero(p), Series.zero(p)),
         )
+
+
+def test_empty_approximants_rejected():
+    p = 3
+    with pytest.raises(PreconditionError, match="at least one approximant"):
+        ApproxType(theta_target(p), p_power_denominators(p), ())
 
 
 # --- the per-approximant power cache ---------------------------------------

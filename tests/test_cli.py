@@ -1,8 +1,4 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -156,6 +152,24 @@ def test_envelope_subcommand(capsys):
     assert payload["argmin"] == 3
 
 
+def test_envelope_subcommand_intercept_literals(capsys):
+    family = json.dumps(
+        {
+            "approach": "(+inf)",
+            "items": [
+                {"i": 1, "intercept": "inf", "slope": 1},
+                {"i": 2, "intercept": 5, "slope": 2},
+                {"i": 3, "intercept": "-1/2", "slope": 3},
+            ],
+        }
+    )
+    code, out, _ = run_cli(capsys, "--json", "envelope", family)
+    assert code == 0
+    assert json.loads(out) == {
+        "beta": "13/2", "permutation": [1, 3, 2], "argmin": 2,
+    }
+
+
 def test_tame_witness_subcommand(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -225,21 +239,34 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["depth", "precision"])
-def test_cli_exits_1_on_retired_config_key(tmp_path, key):
+def test_cli_exits_1_on_retired_config_key(capsys, tmp_path, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{key} = 3\n")
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "apxval.cli", "--config", str(cfg),
-         "eval", "t"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 1
-    assert f"unknown key '{key}'" in proc.stderr
+    code, out, err = run_cli(capsys, "--config", str(cfg), "eval", "t")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("check failed:")
+    assert f"unknown key '{key}'" in err
+
+
+@pytest.mark.parametrize("text", ["p = 4\n", "window = 0\n"])
+def test_config_invalid_value_is_a_check_failure(capsys, tmp_path, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, _, err = run_cli(capsys, "--config", str(cfg), "eval", "t")
+    assert code == 1
+    assert err.startswith("check failed:")
+
+
+@pytest.mark.parametrize("text", [None, "p = three\n"])
+def test_config_unreadable_is_a_usage_error(capsys, tmp_path, text):
+    cfg = tmp_path / "session.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = run_cli(capsys, "--config", str(cfg), "eval", "t")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
 
 
 def test_reldeg_internal_inconsistency_exit_code(capsys, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from apxval import envelope
 from apxval.envelope import (
     AffineFamily,
     envelope_law,
@@ -144,6 +145,106 @@ def test_argmin_invariant_under_common_shift():
             fam.approach,
         )
         assert eventual_argmin(fam) == eventual_argmin(shifted)
+
+
+def _crossings(items):
+    """Brute-force oracle: the crossing of every pair of finite items."""
+    finite = [it for it in items if it.intercept is not INF]
+    return [
+        Fraction(a.intercept - b.intercept, b.slope - a.slope)
+        for a in finite
+        for b in finite
+        if a.slope < b.slope
+    ]
+
+
+def _oracle_beta(fam):
+    crossings = _crossings(fam.items)
+    if fam.approach.is_infinite:
+        return max(crossings) + 1 if crossings else Fraction(0)
+    g0 = fam.approach.boundary
+    base = max([x for x in crossings if x < g0], default=g0 - 1)
+    return Fraction(base + g0, 2)
+
+
+def _tied_family(rng):
+    """Small integer lines: many share a value at the boundary, several pass
+    through one point, some intercepts are infinite."""
+    slopes = rng.sample(range(-5, 6), rng.randint(1, 8))
+    x0, y0 = rng.randint(-2, 2), rng.randint(-2, 2)
+    items = []
+    for i, s in enumerate(slopes):
+        r = rng.random()
+        if r < 0.15:
+            b = INF
+        elif r < 0.5:
+            b = Fraction(y0 - s * x0)  # concurrent at (x0, y0)
+        else:
+            b = Fraction(rng.randint(-3, 3))
+        items.append((i, b, s))
+    g0 = Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
+    approach = rng.choice(
+        [Cut.plus_infinity(), Cut.strictly_below(g0), Cut.below_or_equal(g0)]
+    )
+    return AffineFamily.make(items, approach)
+
+
+def test_threshold_matches_all_pairs_oracle():
+    rng = random.Random(31)
+    for k in range(4_000):
+        fam = _tied_family(rng) if k % 2 == 0 else _random_family(rng)
+        order = eventual_order(fam)
+        assert order.beta == _oracle_beta(fam), fam
+        for gamma in _sample_points(fam, order.beta, k=2):
+            assert _order_at(fam, gamma) == order.permutation, (fam, gamma)
+
+
+def test_tie_at_the_boundary_goes_to_the_smaller_slope():
+    fam = AffineFamily.make(
+        [(0, Fraction(0), 1), (1, Fraction(-1), 2), (2, INF, 3)],
+        Cut.strictly_below(1),
+    )
+    order = eventual_order(fam)
+    assert order == eventual_order(
+        AffineFamily(fam.items, Cut.below_or_equal(1))
+    )
+    # both lines equal 1 at g0 = 1; just below it the smaller slope is larger
+    assert order.permutation == (2, 0, 1)
+    assert order.beta == Fraction(1, 2)
+
+
+def _count_orders(monkeypatch):
+    calls = []
+    real = envelope.eventual_order
+
+    def counted(family):
+        calls.append(family)
+        return real(family)
+
+    monkeypatch.setattr(envelope, "eventual_order", counted)
+    return calls
+
+
+def test_envelope_law_sorts_once(monkeypatch):
+    calls = _count_orders(monkeypatch)
+    h, beta, threshold = envelope_law(
+        [Fraction(2), INF, Fraction(0)], Cut.strictly_below(0)
+    )
+    assert len(calls) == 1
+    assert (h, beta, threshold) == (3, 0, Fraction(-1, 2))
+    calls.clear()
+    with pytest.raises(PreconditionError, match="all intercepts are infinite"):
+        envelope_law([INF, INF], Cut.plus_infinity())
+    assert calls == []
+
+
+def test_eventual_argmin_reads_one_order(monkeypatch):
+    calls = _count_orders(monkeypatch)
+    fam = AffineFamily.make(
+        [(1, Fraction(5), 1), (2, Fraction(0), 2)], Cut.plus_infinity()
+    )
+    assert eventual_argmin(fam) == 1
+    assert calls == [fam]
 
 
 # --- the two law routes' shared pieces --------------------------------------

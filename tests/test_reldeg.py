@@ -12,7 +12,7 @@ from apxval.errors import (
 from apxval.hahn import Series, p_power_denominators
 from apxval.ordval import Cut, scale_cut, shift_cut
 from apxval.valpoly import ValPoly, formal_derivative
-from apxval.apprtype import ApproxType
+from apxval.apprtype import ApproxType, Fixed
 from apxval.curated import (
     generic_immediate_type,
     theta_minpoly,
@@ -94,6 +94,17 @@ def test_rel_degree_general_constant():
     f = theta_minpoly(p)
     c = ValPoly(p, (Series.monomial(p, -4, 2),))
     assert rel_degree_general(A, c, f) == FixedCase(Fraction(-4))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rel_degree_general_rejects_a_fixed_minpoly(p):
+    A = theta_type(p)
+    X = ValPoly.X(p)
+    assert A.fixes_value(X) == Fixed(Fraction(-1, p))
+    with pytest.raises(PreconditionError, match="fixes the value"):
+        rel_degree_general(A, X, X)
+    with pytest.raises(PreconditionError, match="fixes the value"):
+        rel_degree_general(A, theta_minpoly(p), X)
 
 
 def test_h_upper_bound():
