@@ -198,6 +198,23 @@ class ApproxType:
             return tail[0]
         return None
 
+    def _fixed_value(
+        self, g: ValPoly, values: list[GroupValue]
+    ) -> Optional[GroupValue]:
+        """The value the type fixes for g, given v(g(c_n)) for every
+        approximant: the stabilized window value, unless a visible
+        v(g(target)) differs from it; None when the window does not
+        stabilize."""
+        stab = self._stabilized(values)
+        if stab is None:
+            return None
+        try:
+            vx = g(self.target).val()
+        except IndeterminateValuation:
+            return stab
+        # constant window but wrong limit: treat as not yet stabilized
+        return stab if vx == stab else None
+
     def fixes_value(self, g: ValPoly) -> Fixed | NotFixed:
         if g.is_zero:
             raise PreconditionError("the zero polynomial has no value")
@@ -212,16 +229,9 @@ class ApproxType:
                 raise InsufficientPrecision(
                     f"v(g(c_{n})) is swallowed by the precision bound"
                 )
-        stab = self._stabilized(values)
+        stab = self._fixed_value(g, values)
         if stab is not None:
-            gx = g(self.target)
-            try:
-                vx = gx.val()
-            except IndeterminateValuation:
-                vx = None
-            if vx is None or vx == stab:
-                return Fixed(stab)
-            # constant window but wrong limit: treat as not yet stabilized
+            return Fixed(stab)
         pts = [
             (g, w)
             for g, w in zip(self._gammas, values)

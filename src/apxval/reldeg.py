@@ -132,7 +132,12 @@ def rel_degree_general(
     associated minimal polynomial."""
     if g.is_zero:
         raise PreconditionError("the zero polynomial has no value")
-    if isinstance(A.fixes_value(minpoly_f), Fixed):
+    # the check of fixes_value without its law fit, which could raise
+    try:
+        fixed = A._fixed_value(minpoly_f, A._poly_values(minpoly_f))
+    except IndeterminateValuation:
+        fixed = None  # some v(f(c_n)) is hidden: the value is not seen fixed
+    if fixed is not None:
         raise PreconditionError(
             "the type fixes the value of the claimed minimal polynomial"
         )

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -239,7 +243,26 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["depth", "precision"])
-def test_cli_exits_1_on_retired_config_key(capsys, tmp_path, key):
+def test_cli_exits_1_on_retired_config_key(tmp_path, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = 3\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "apxval.cli", "--config", str(cfg),
+         "eval", "t"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("check failed:")
+    assert f"unknown key '{key}'" in proc.stderr
+
+
+@pytest.mark.parametrize("key", ["depth", "precision"])
+def test_main_returns_1_on_retired_config_key(capsys, tmp_path, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{key} = 3\n")
     code, out, err = run_cli(capsys, "--config", str(cfg), "eval", "t")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,19 @@ def test_rel_degree_general_rejects_a_fixed_minpoly(p):
         rel_degree_general(A, X, X)
     with pytest.raises(PreconditionError, match="fixes the value"):
         rel_degree_general(A, theta_minpoly(p), X)
+
+
+def test_rel_degree_general_does_not_fit_the_minpoly_law():
+    # one tail point: fixes_value cannot fit its law, but the minimal
+    # polynomial's value is not fixed, so rel_degree_general still runs
+    p = 3
+    A = replace(theta_type(p), tail_depth=1)
+    f = theta_minpoly(p)
+    with pytest.raises(StabilizationError):
+        A.fixes_value(f)
+    assert rel_degree_general(A, ValPoly.X(p) * f, f) == NotFixedLaw(
+        1, 3, Fraction(-1, 3)
+    )
 
 
 def test_h_upper_bound():
