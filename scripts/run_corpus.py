@@ -1,28 +1,11 @@
 #!/usr/bin/env python3
 """Run the curated example corpus and print one JSON record per case,
-plus a trailing summary; exits nonzero if any case fails."""
+plus a trailing summary; exits nonzero if any case fails.  The same as
+``apxval corpus``; accepts its ``--filter`` option."""
 
-import argparse
-import json
 import sys
 
-from apxval.corpus import run_corpus
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--filter", default="", help="substring case filter")
-    args = parser.parse_args()
-    records, ok = run_corpus(args.filter)
-    for record in records:
-        print(json.dumps(record, sort_keys=True))
-    summary = {
-        "cases": len(records),
-        "passed": sum(1 for r in records if r["status"] == "pass"),
-    }
-    print(json.dumps(summary, sort_keys=True))
-    return 0 if ok else 1
-
+from apxval.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["corpus", *sys.argv[1:]]))

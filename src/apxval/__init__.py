@@ -42,7 +42,6 @@ from .valpoly import (
 from .envelope import AffineFamily, eventual_argmin, eventual_order
 from .apprtype import ApproxType, Fixed, NotFixed, pushed_forward
 from .reldeg import (
-    FixedCase,
     NotFixedLaw,
     RelDegree,
     approx_coefficient,

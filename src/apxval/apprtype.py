@@ -4,8 +4,8 @@ strictly improving approximant sequence.
 The distance of the type is a cut; because the supremum of an approximant
 value sequence is not determinable from finitely many terms, a constructor
 hint can declare the cut, and every computation checks the observed values
-against it.  Semantic markers (cofinal, transcendental) are caller
-assertions; any observed counterexample raises a MarkerViolation.
+against it.  The hint and the transcendental marker are caller assertions;
+any observed counterexample raises a MarkerViolation.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class ApproxType:
     target: Series
     ground: SubfieldPredicate
     approximants: tuple[Series, ...]
-    cofinal: bool = True
     transcendental: bool = False
     distance_hint: Optional[Cut] = None
     window: int = 4
@@ -81,24 +80,10 @@ class ApproxType:
 
     @staticmethod
     def from_truncations(
-        target: Series,
-        ground: SubfieldPredicate,
-        *,
-        cofinal: bool = True,
-        transcendental: bool = False,
-        distance_hint: Optional[Cut] = None,
-        window: int = 4,
-        tail_depth: int = 6,
+        target: Series, ground: SubfieldPredicate, **options
     ) -> "ApproxType":
         return ApproxType(
-            target,
-            ground,
-            default_approximants(target, ground),
-            cofinal,
-            transcendental,
-            distance_hint,
-            window,
-            tail_depth,
+            target, ground, default_approximants(target, ground), **options
         )
 
     def __post_init__(self):
@@ -133,10 +118,6 @@ class ApproxType:
         return any(g is INF for g in self._gammas)
 
     def distance(self) -> Cut:
-        if not self.cofinal:
-            raise PreconditionError(
-                "distance needs a cofinal approximant sequence"
-            )
         if self.distance_hint is not None:
             for g in self._gammas:
                 if not compare_value_cut(g, self.distance_hint).lt:
@@ -328,7 +309,7 @@ def pushed_forward(
     hint = shift_cut(beta, scale_cut(h, A.distance()))
     # The affine law only holds eventually, so early image approximants may
     # repeat a distance value; keep the longest suffix along which the
-    # distance strictly increases (the tail is cofinal either way).
+    # distance strictly increases (a suffix has the same distance cut).
     images = [f(c) for c in A.approximants]
     start = 0
     prev = None

@@ -14,7 +14,7 @@ from dataclasses import replace
 from .config import SessionConfig, load_config_file
 from .errors import ApxError, InternalInconsistency
 from .ordval import format_value, parse_cut, parse_value
-from .hahn import Series, resolve_predicate
+from .hahn import Series, in_subfield, p_power_denominators, resolve_predicate
 from .parsing import ParseError, format_series, parse_poly, parse_series
 from .envelope import AffineFamily, eventual_order, eventual_argmin
 from .apprtype import ApproxType, Fixed
@@ -56,19 +56,12 @@ def _load_type(args, cfg: SessionConfig) -> ApproxType:
 def cmd_eval(args, cfg):
     s = parse_series(args.series, cfg.p)
     if args.poly:
-        f = parse_poly(args.poly, cfg.p)
-        out = f(s)
-        _emit(
-            args,
-            {"series": format_series(out), "value": format_value(out.val())},
-            f"{format_series(out)}  (v = {format_value(out.val())})",
-        )
-    else:
-        _emit(
-            args,
-            {"series": format_series(s), "value": format_value(s.val())},
-            f"{format_series(s)}  (v = {format_value(s.val())})",
-        )
+        s = parse_poly(args.poly, cfg.p)(s)
+    _emit(
+        args,
+        {"series": format_series(s), "value": format_value(s.val())},
+        f"{format_series(s)}  (v = {format_value(s.val())})",
+    )
     return 0
 
 
@@ -203,7 +196,7 @@ def cmd_trace_gen(args, cfg):
         "witness": format_series(sc.witness),
         "trace": format_series(sc.trace),
         "h": rd.h,
-        "pulled_down": all(sc.ground(e) for e, _ in sc.trace.terms),
+        "pulled_down": in_subfield(sc.trace, p_power_denominators(sc.group.p)),
     }
     _emit(
         args,

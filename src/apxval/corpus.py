@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Callable
 
 from .ordval import Cut, format_value, scale_cut, shift_cut
-from .hahn import Series, invert
+from .hahn import Series, in_subfield, invert, p_power_denominators
 from .valpoly import binom_val
 from .envelope import AffineFamily, eventual_argmin
+from .apprtype import ApproxType
 from .curated import (
     theta_f_of_theta_exact,
     theta_minpoly,
@@ -62,9 +63,6 @@ def _theta_dist_law_case(p: int) -> ExampleCase:
 
 def _theta_f_in_ground_case(p: int) -> ExampleCase:
     def run():
-        from .apprtype import ApproxType
-        from .hahn import p_power_denominators
-
         fx = theta_f_of_theta_exact(p)
         B = ApproxType.from_truncations(fx, p_power_denominators(p))
         return ("(+inf)", str(B.distance()))
@@ -74,8 +72,6 @@ def _theta_f_in_ground_case(p: int) -> ExampleCase:
 
 def _binom_case() -> ExampleCase:
     def run():
-        from math import gcd
-
         bad = [
             (p, t, r)
             for p in (2, 3, 5)
@@ -160,12 +156,8 @@ def _trace_case() -> ExampleCase:
     def run():
         sc = trace_pulldown_scenario()
         rd = rel_degree(sc.x_type, sc.trace_poly)
-        pulled_down = all(sc.ground(e) for e, _ in sc.trace.terms)
-        inner = all(
-            e.denominator in (1, 3, 9, 27, 81, 243, 729, 2187, 6561)
-            for e, _ in sc.trace.terms
-        )
-        return ("h=1 pulled-down=True", f"h={rd.h} pulled-down={pulled_down and inner}")
+        pulled_down = in_subfield(sc.trace, p_power_denominators(sc.group.p))
+        return ("h=1 pulled-down=True", f"h={rd.h} pulled-down={pulled_down}")
 
     return ExampleCase("trace-pulldown", "derived:full pipeline", run)
 

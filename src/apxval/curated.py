@@ -15,14 +15,19 @@ from fractions import Fraction
 
 from .hahn import (
     Series,
-    SubfieldPredicate,
     lattice_p_power,
     p_power_denominators,
 )
 from .ordval import Cut
 from .valpoly import ValPoly
 from .apprtype import ApproxType
-from .tamegal import GaloisElem, TameCyclic
+from .reldeg import rel_degree
+from .tamegal import (
+    GaloisElem,
+    TameCyclic,
+    trace_generator,
+    valuation_independence_witness,
+)
 
 THETA_TERMS = 8
 
@@ -92,7 +97,6 @@ def generic_immediate_type(
 @dataclass(frozen=True)
 class TraceScenario:
     group: TameCyclic
-    ground: SubfieldPredicate
     x: Series
     x_type: ApproxType
     conjugate_proxies: list[ValPoly]
@@ -107,9 +111,6 @@ def trace_pulldown_scenario(terms: int = THETA_TERMS) -> TraceScenario:
     coset of s = t^(1/2); its conjugate is -x, the witness search over the
     approximation coefficients (1, -1) yields d = s, and Tr(d*x) = 2*s*x has
     only 3-power denominators, with h(x : Tr(d*x)) = 1."""
-    from .reldeg import rel_degree
-    from .tamegal import trace_generator, valuation_independence_witness
-
     p, n = 3, 2
     G = TameCyclic.make(p, n)
     ground = lattice_p_power(n, p)
@@ -141,7 +142,7 @@ def trace_pulldown_scenario(terms: int = THETA_TERMS) -> TraceScenario:
         lead = lead + rho(d).scale(chi_on_coset(G, rho))
     trace_poly = ValPoly(p, (Series.zero(p), lead))
     return TraceScenario(
-        G, ground, x, x_type, proxies, coeffs, d, tr, trace_poly
+        G, x, x_type, proxies, coeffs, d, tr, trace_poly
     )
 
 

@@ -22,8 +22,8 @@ class PreconditionError(ApxError):
 
 
 class MarkerViolation(ApxError):
-    """A caller-supplied semantic marker (cofinal / transcendental / fixed)
-    was falsified by an observed counterexample."""
+    """A caller-supplied semantic marker (distance hint / transcendental /
+    fixed) was falsified by an observed counterexample."""
 
 
 class StabilizationError(ApxError):

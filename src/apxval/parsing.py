@@ -23,6 +23,7 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .ordval import INF, GroupValue
 from .hahn import Series
+from .valpoly import ValPoly
 
 
 class ParseError(PreconditionError):
@@ -143,8 +144,6 @@ def format_series(s: Series) -> str:
 
 
 def parse_poly(text: str, p: int):
-    from .valpoly import ValPoly
-
     sc = _Scanner(text)
     coeffs: dict[int, Series] = {}
     while True:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from .errors import (
@@ -35,12 +36,6 @@ class RelDegree:
     h: int
     beta: GroupValue
     taylor_intercepts: tuple[GroupValue, ...]
-    poly: ValPoly
-
-
-@dataclass(frozen=True)
-class FixedCase:
-    value: GroupValue
 
 
 @dataclass(frozen=True)
@@ -122,12 +117,12 @@ def rel_degree(A: ApproxType, f: ValPoly) -> RelDegree:
             f"envelope gives (h={h}, beta={beta}) but the sampled tail law "
             f"gives (h={h_s}, beta={beta_s})"
         )
-    return RelDegree(h, beta, tuple(betas), f)
+    return RelDegree(h, beta, tuple(betas))
 
 
 def rel_degree_general(
     A: ApproxType, g: ValPoly, minpoly_f: ValPoly
-) -> FixedCase | NotFixedLaw:
+) -> Fixed | NotFixedLaw:
     """The value law of an arbitrary g via its digit expansion in the
     associated minimal polynomial."""
     if g.is_zero:
@@ -160,7 +155,7 @@ def rel_degree_general(
     fam = AffineFamily.make(items, A.distance())
     m = eventual_argmin(fam)
     if m == 0:
-        return FixedCase(gammas[0])
+        return Fixed(gammas[0])
     beta = gammas[m] + m * rd.beta
     pts = []
     for n in A.tail():
@@ -216,9 +211,13 @@ def approx_coefficient(A: ApproxType, f: ValPoly) -> tuple[Series, RelDegree]:
             break  # every longer truncation keeps this exponent
         cand = last.prefix(k)
         if _certify_coefficient(samples, cand):
-            # the defining identity v(f(x) - f(c_n)) = v(d * (x - c_n)^h)
+            # the defining identity v(f(x) - f(c_n)) = v(d * (x - c_n)^h),
+            # on the tail points past the threshold where the law holds
+            _, _, threshold = envelope_law(
+                list(rd.taylor_intercepts), A.distance()
+            )
             _check_tail_law(
-                _tail_values(A, f), rd.h, cand.val(),
+                _tail_values(A, f, above=threshold), rd.h, cand.val(),
                 "approximation coefficient fails the defining value identity",
             )
             return cand, rd
@@ -260,6 +259,14 @@ def greedy_proxy(
     powers = [ValPoly(p, (Series.one(p),))]
     for _ in range(max_degree):
         powers.append(powers[-1] * ValPoly.X(p))
+    # x^k with its value, for each k whose value is determinate
+    xks = []
+    for k in range(max_degree, -1, -1):
+        xk = x ** k
+        try:
+            xks.append((k, xk, xk.val()))
+        except IndeterminateValuation:
+            continue
     for _ in range(16):
         try:
             v = rem.val()
@@ -268,22 +275,8 @@ def greedy_proxy(
         if v is INF:
             break
         e, c = rem.leading()
-        matched = False
-        for k in range(max_degree, -1, -1):
-            xk = x ** k
-            try:
-                vk = xk.val()
-            except IndeterminateValuation:
-                continue
-            if vk == e and A.ground(e - vk):
-                lead_c = xk.leading()[1]
-                coeff = Series.monomial(p, 0, (c * pow(lead_c, -1, p)) % p)
-                term = powers[k].scale(coeff)
-                acc = acc + term
-                rem = rem - term(x)
-                matched = True
-                break
-            if vk < e and A.ground(e - vk):
+        for k, xk, vk in xks:
+            if vk <= e and A.ground(e - vk):
                 lead_c = xk.leading()[1]
                 coeff = Series.monomial(
                     p, e - vk, (c * pow(lead_c, -1, p)) % p
@@ -291,9 +284,8 @@ def greedy_proxy(
                 term = powers[k].scale(coeff)
                 acc = acc + term
                 rem = rem - term(x)
-                matched = True
                 break
-        if not matched:
+        else:
             return None
     return acc
 
@@ -408,8 +400,6 @@ def reduced_factor_shape(
 
 
 def _power_of_linear(p: int, r: int, h: int, degree: int) -> list[int]:
-    from math import comb
-
     out = [0] * (degree + 1)
     for i in range(h + 1):
         out[i] = (comb(h, i) * pow(-r, h - i, p)) % p

@@ -82,8 +82,6 @@ def _primitive_root_of_unity(p: int, n: int) -> int:
             pow(z, k, p) != 1 for k in range(1, n)
         ):
             return z
-    if n == 1:
-        return 1
     raise InternalInconsistency(f"no primitive {n}-th root of unity mod {p}")
 
 

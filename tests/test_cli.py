@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from apxval.cli import main
 from apxval.config import SessionConfig, load_config_file
 from apxval.corpus import run_corpus
+from apxval.curated import trace_pulldown_scenario
+from apxval.hahn import Series
 
 
 def run_cli(capsys, *argv):
@@ -46,10 +50,11 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def _theta_type_file(tmp_path, p):
+def _theta_type_file(tmp_path, p, terms=8):
     desc = {
         "p": p,
-        "target": " + ".join(f"t^(-1/{p**i})" for i in range(1, 9)) + " + O(t)",
+        "target": " + ".join(f"t^(-1/{p**i})" for i in range(1, terms + 1))
+        + " + O(t)",
         "ground": "Z[1/p]",
         "hint": "(<0)",
         "minpoly": f"X^{p} + ({p - 1})*X + ({p - 1}*t^(-1))",
@@ -120,6 +125,19 @@ def test_approx_coeff_subcommand(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["d"] == "1"
     assert payload["image_distance"] == "(<0)"
+
+
+def test_approx_coeff_ignores_tail_points_below_the_threshold(capsys, tmp_path):
+    # the law h = 1, beta = -1 holds only past gamma = -1/6; the first tail
+    # point gamma = -1/2 is off it
+    path = _theta_type_file(tmp_path, 2, terms=5)
+    code, out, err = run_cli(
+        capsys, "--p", "2", "--json", "approx-coeff", "--type", path,
+        "--poly", "X^4 + X^2 + (t^(-1))*X",
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert (payload["d"], payload["h"]) == ("t^(-1)", 1)
 
 
 def test_factor_shape_subcommand(capsys, tmp_path):
@@ -201,6 +219,36 @@ def test_trace_gen_subcommand(capsys):
     payload = json.loads(out)
     assert payload["h"] == 1
     assert payload["pulled_down"] is True
+
+
+def _trace_keeps_a_square_root(monkeypatch):
+    """Patch the trace scenario, as the CLI and the corpus see it, so that
+    its trace keeps a t^(1/2) term outside the base field."""
+
+    def leaky():
+        sc = trace_pulldown_scenario()
+        return replace(
+            sc, trace=sc.trace + Series.monomial(3, Fraction(1, 2))
+        )
+
+    monkeypatch.setattr("apxval.cli.trace_pulldown_scenario", leaky)
+    monkeypatch.setattr("apxval.corpus.trace_pulldown_scenario", leaky)
+
+
+def test_trace_gen_reports_a_trace_outside_the_base(capsys, monkeypatch):
+    _trace_keeps_a_square_root(monkeypatch)
+    code, out, _ = run_cli(capsys, "--json", "trace-gen")
+    assert code == 0
+    assert json.loads(out)["pulled_down"] is False
+
+
+def test_trace_corpus_case_fails_on_a_trace_outside_the_base(monkeypatch):
+    _trace_keeps_a_square_root(monkeypatch)
+    records, ok = run_corpus("trace-pulldown")
+    assert not ok
+    assert [(r["status"], r["actual"]) for r in records] == [
+        ("fail", "h=1 pulled-down=False")
+    ]
 
 
 def test_corpus_subcommand(capsys):

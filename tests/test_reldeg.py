@@ -12,6 +12,7 @@ from apxval.errors import (
 )
 from apxval.hahn import Series, p_power_denominators
 from apxval.ordval import Cut, scale_cut, shift_cut
+from apxval.parsing import parse_poly
 from apxval.valpoly import ValPoly, formal_derivative
 from apxval.apprtype import ApproxType, Fixed
 from apxval.curated import (
@@ -21,7 +22,6 @@ from apxval.curated import (
     theta_type,
 )
 from apxval.reldeg import (
-    FixedCase,
     NotFixedLaw,
     approx_coefficient,
     check_multiplicativity,
@@ -94,7 +94,7 @@ def test_rel_degree_general_constant():
     A = theta_type(p)
     f = theta_minpoly(p)
     c = ValPoly(p, (Series.monomial(p, -4, 2),))
-    assert rel_degree_general(A, c, f) == FixedCase(Fraction(-4))
+    assert rel_degree_general(A, c, f) == Fixed(Fraction(-4))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -178,6 +178,23 @@ def test_approx_coefficient_linear():
     assert rd.h == 1
     assert d.val() == u.val()
     assert (u - d).val() > d.val()
+
+
+def test_approx_coefficient_checks_only_points_past_the_threshold():
+    # h = 1, beta = -1 with envelope threshold -1/6: the first tail point
+    # (-1/2, -2) lies below the threshold and off the law, and must not
+    # count against the coefficient
+    p = 2
+    A = theta_type(p, 5, precision=1, transcendental=True)
+    f = parse_poly("X^4 + X^2 + (t^(-1))*X", p)
+    fx = f(A.target)
+    n = A.tail()[0]
+    assert (A.gamma(n), (fx - f(A.approximants[n])).val()) == (
+        Fraction(-1, 2), Fraction(-2)
+    )
+    d, rd = approx_coefficient(A, f)
+    assert (rd.h, rd.beta) == (1, Fraction(-1))
+    assert d == Series.monomial(p, -1)
 
 
 def test_coefficient_dist_law():
