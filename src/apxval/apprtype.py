@@ -77,6 +77,12 @@ class ApproxType:
     _powers: tuple[list[Series], ...] = field(
         init=False, repr=False, compare=False
     )
+    # the sampled law route's own powers, grown by valpoly.power_sum: one
+    # list per approximant, then one for the target; never shared with
+    # _powers, so the two law routes stay independent
+    _sampled_powers: tuple[list[Series], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def from_truncations(
@@ -104,6 +110,11 @@ class ApproxType:
         object.__setattr__(self, "_gammas", tuple(gammas))
         object.__setattr__(
             self, "_powers", tuple([] for _ in self.approximants)
+        )
+        object.__setattr__(
+            self,
+            "_sampled_powers",
+            tuple([] for _ in range(len(self.approximants) + 1)),
         )
 
     def gamma(self, n: int) -> GroupValue:

@@ -108,6 +108,7 @@ def cmd_reldeg(args, cfg):
         "beta": format_value(rd.beta),
         "taylor_intercepts": [format_value(b) for b in rd.taylor_intercepts],
         "law_verification_depth": len(A.tail()),
+        "sampled_points": rd.sampled_points,
     }
     _emit(args, payload, f"h = {rd.h}, beta = {format_value(rd.beta)}")
     return 0

@@ -351,20 +351,26 @@ class Series:
         return _from_ints(p, den, tuple(kept), prec)
 
     def _mul_precision(self, other: "Series") -> GroupValue:
-        if self.is_exact_zero or other.is_exact_zero:
-            return INF
-        cands = []
-        if other.precision is not INF:
-            if self.ints:
-                cands.append(self.val() + other.precision)
-            elif self.precision is not INF:
-                cands.append(self.precision + other.precision)
-        if self.precision is not INF:
-            if other.ints:
-                cands.append(other.val() + self.precision)
-            elif other.precision is not INF:
-                cands.append(self.precision + other.precision)
-        return min(cands) if cands else INF
+        """min(v(a) + prec(b), v(b) + prec(a)) over the truncated operands,
+        an operand without terms standing in with its precision for its
+        value; INF when both are exact or either is an exact zero.  The
+        sums are compared as integer fractions, and only the least becomes
+        a ``Fraction``."""
+        sp, op = self.precision, other.precision
+        if sp is INF:
+            if op is INF or not self.ints:
+                return INF
+            n, d = _low_plus(self, op)
+        elif op is INF:
+            if not other.ints:
+                return INF
+            n, d = _low_plus(other, sp)
+        else:
+            n, d = _low_plus(self, op)
+            n2, d2 = _low_plus(other, sp)
+            if n2 * d < n * d2:
+                n, d = n2, d2
+        return _fraction(n, d)
 
     def scale(self, c: int) -> "Series":
         p = self.p
@@ -449,6 +455,17 @@ def _ceil_scaled(v, den: int) -> int:
     """ceil(v * den) for a rational v: an integer k is >= v * den exactly
     when it is >= this."""
     return -(-v.numerator * den // v.denominator)
+
+
+def _low_plus(s: Series, prec) -> tuple[int, int]:
+    """v(s) + prec as an integer pair (numerator, positive denominator); a
+    series without terms contributes its precision in place of v(s)."""
+    n, d = prec.numerator, prec.denominator
+    if s.ints:
+        den = s.den
+        return s.ints[0][0] * d + n * den, den * d
+    q = s.precision
+    return q.numerator * d + n * q.denominator, q.denominator * d
 
 
 def _common(a: Series, b: Series):

@@ -26,7 +26,13 @@ from .errors import (
 )
 from .hahn import Series, invert
 from .ordval import INF, Cut, GroupValue, is_finite, scale_cut, shift_cut
-from .valpoly import ValPoly, f_adic_expand, formal_derivative, taylor_coefficients
+from .valpoly import (
+    ValPoly,
+    f_adic_expand,
+    formal_derivative,
+    power_sum,
+    taylor_coefficients,
+)
 from .apprtype import ApproxType, Fixed, pushed_forward
 from .envelope import AffineFamily, envelope_law, eventual_argmin, fit_tail_law
 
@@ -36,6 +42,9 @@ class RelDegree:
     h: int
     beta: GroupValue
     taylor_intercepts: tuple[GroupValue, ...]
+    # tail points the sampled route checked the law on; below two, (h, beta)
+    # rests on the envelope alone
+    sampled_points: int
 
 
 @dataclass(frozen=True)
@@ -49,8 +58,10 @@ def _tail_values(
     A: ApproxType, f: ValPoly, above: Optional[GroupValue] = None
 ) -> list[tuple[GroupValue, GroupValue]]:
     """The finite, determinate points (gamma_n, v(f(x) - f(c_n))) of the
-    tail with gamma_n past ``above``."""
-    fx = f(A.target)
+    tail with gamma_n past ``above``, every value a power sum over the
+    type's sampled powers."""
+    powers = A._sampled_powers
+    fx = power_sum(f, A.target, powers[-1])
     pts = []
     for n in A.tail():
         g = A.gamma(n)
@@ -59,7 +70,7 @@ def _tail_values(
         if above is not None and not g > above:
             continue
         try:
-            w = (fx - f(A.approximants[n])).val()
+            w = (fx - power_sum(f, A.approximants[n], powers[n])).val()
         except IndeterminateValuation:
             continue
         if w is INF:
@@ -87,7 +98,10 @@ def sampled_law(
     derivative-value family; callers that know that threshold pass it as
     ``above`` so the fit is restricted to the stable region.
     """
-    pts = _tail_values(A, f, above)
+    return _fit_sampled(_tail_values(A, f, above))
+
+
+def _fit_sampled(pts) -> tuple[int, GroupValue]:
     if len(pts) < 2:
         raise InsufficientPrecision("too few determinate tail values")
     try:
@@ -108,16 +122,17 @@ def rel_degree(A: ApproxType, f: ValPoly) -> RelDegree:
             "some derivative value is not fixed at this depth"
         )
     h, beta, threshold = envelope_law(betas, A.distance())
-    try:
-        h_s, beta_s = sampled_law(A, f, above=threshold)
-    except InsufficientPrecision:
-        h_s, beta_s = h, beta  # cannot sample; trust the envelope alone
-    if (h_s, beta_s) != (h, beta):
-        raise InternalInconsistency(
-            f"envelope gives (h={h}, beta={beta}) but the sampled tail law "
-            f"gives (h={h_s}, beta={beta_s})"
-        )
-    return RelDegree(h, beta, tuple(betas))
+    pts = _tail_values(A, f, above=threshold)
+    # with fewer than two points there is nothing to sample: the envelope
+    # answers alone, and sampled_points says so
+    if len(pts) >= 2:
+        h_s, beta_s = _fit_sampled(pts)
+        if (h_s, beta_s) != (h, beta):
+            raise InternalInconsistency(
+                f"envelope gives (h={h}, beta={beta}) but the sampled tail "
+                f"law gives (h={h_s}, beta={beta_s})"
+            )
+    return RelDegree(h, beta, tuple(betas), len(pts))
 
 
 def rel_degree_general(
@@ -295,8 +310,12 @@ def check_multiplicativity(A: ApproxType, f: ValPoly, g: ValPoly) -> bool:
     rd_f = rel_degree(A, f)
     B = pushed_forward(A, f, rd_f.h, rd_f.beta)
     rd_g = rel_degree(B, g)
-    composed = g.compose(f)
-    h_left, _ = sampled_law(A, composed)
+    # the composed law holds once gamma is past f's threshold and the image
+    # value beta_f + h_f * gamma is past g's threshold on B
+    _, _, thr_f = envelope_law(list(rd_f.taylor_intercepts), A.distance())
+    _, _, thr_g = envelope_law(list(rd_g.taylor_intercepts), B.distance())
+    above = max(thr_f, (thr_g - rd_f.beta) / rd_f.h)
+    h_left, _ = sampled_law(A, g.compose(f), above=above)
     return h_left == rd_f.h * rd_g.h
 
 

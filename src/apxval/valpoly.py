@@ -2,9 +2,19 @@
 
 Provides evaluation, composition, formal derivatives with exact binomial
 coefficients reduced mod p, simultaneous Taylor coefficients as binomial
-sums over the powers of the expansion point (the powers can be cached by
-the caller across polynomials), f-adic digit expansion, and the p-adic
-binomial valuation fact used to bound relative approximation degrees.
+sums over the powers of the expansion point, f-adic digit expansion, and
+the p-adic binomial valuation fact used to bound relative approximation
+degrees.
+
+A polynomial evaluates two ways.  ``f(x)`` is Horner's scheme: each step
+multiplies the whole accumulator by x, a full convolution.  ``power_sum``
+adds a_j * x^j over a list of powers of x that the caller keeps across
+polynomials, so with monomial coefficients nearly every product is the
+one-term shift.  Its powers come from the halving split x^k =
+x^ceil(k/2) * x^floor(k/2); the Taylor tables build theirs as
+c^k = c^(k-1) * c, so the two law routes that rest on them share neither
+a cache nor an algorithm.  Both evaluations give the same series,
+precision included; Horner stays the reference in the tests.
 """
 
 from __future__ import annotations
@@ -89,7 +99,7 @@ class ValPoly:
         return ValPoly.make(self.p, (c * a for a in self.coeffs))
 
     def __call__(self, x: Series) -> Series:
-        # Horner evaluation
+        # Horner evaluation; power_sum is the route over cached powers
         acc = Series.zero(self.p)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -118,6 +128,31 @@ def formal_derivative(f: ValPoly, i: int) -> ValPoly:
         f.p,
         (f.coeffs[j].scale(comb(j, i) % f.p) for j in range(i, len(f.coeffs))),
     )
+
+
+def power_sum(f: ValPoly, x: Series, powers: list[Series]) -> Series:
+    """f(x) as the sum a_0 + sum_{j>=1} a_j x^j over the powers of x.
+
+    ``powers`` is a caller-owned list [x, x^2, ...] of powers of this same
+    x, extended in place as far as deg f needs; each x^k is
+    x^ceil(k/2) * x^floor(k/2), so the result never depends on what the
+    list already held.  Only exact-zero coefficients are skipped: a zero
+    coefficient that is truncated still bounds the precision.
+    """
+    coeffs = f.coeffs
+    if not coeffs:
+        return Series.zero(f.p)
+    while len(powers) < len(coeffs) - 1:
+        k = len(powers) + 1
+        if k == 1:
+            powers.append(x)
+        else:
+            powers.append(powers[k - k // 2 - 1] * powers[k // 2 - 1])
+    acc = coeffs[0]
+    for a, xk in zip(coeffs[1:], powers):
+        if not a.is_exact_zero:
+            acc = acc + a * xk
+    return acc
 
 
 def taylor_coefficients(

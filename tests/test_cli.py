@@ -376,4 +376,5 @@ def test_depth_knob_sets_law_verification_depth(capsys, tmp_path, how):
     assert code == 0
     payload = json.loads(out)
     assert payload["law_verification_depth"] == 3
+    assert payload["sampled_points"] == 3
     assert (payload["h"], payload["beta"]) == (3, "0")

@@ -237,6 +237,45 @@ def test_add_mul_match_make_definition_randomized():
         )
 
 
+def fraction_mul_precision(a, b):
+    """The product's precision by Fraction arithmetic: v(a) + prec(b) and
+    v(b) + prec(a), a precision standing in for the value of an operand
+    without terms; INF if both are exact or either is an exact zero."""
+    if a.is_exact_zero or b.is_exact_zero:
+        return INF
+    cands = []
+    for x, y in ((a, b), (b, a)):
+        if y.precision is not INF:
+            low = x.val() if x.terms else x.precision
+            if low is not INF:
+                cands.append(low + y.precision)
+    return min(cands) if cands else INF
+
+
+def test_mul_precision_matches_fraction_formula_randomized():
+    rng = random.Random(2718)
+    for trial in range(6000):
+        p = rng.choice([2, 3, 5])
+        ops = []
+        for _ in range(2):
+            kind = rng.randrange(4)
+            if kind == 0:
+                ops.append(Series.zero(p))
+            elif kind == 1:
+                # term-less but truncated, at an int or a Fraction precision
+                ops.append(Series.zero(p, rng.choice(
+                    [rng.randint(-9, 9), Fraction(rng.randint(-30, 30), 7)]
+                )))
+            else:
+                ops.append(differential_operand(rng, p))
+        a, b = ops
+        got = a._mul_precision(b)
+        want = fraction_mul_precision(a, b)
+        assert got == want, (a, b)
+        assert (got is INF) == (want is INF)
+        assert b._mul_precision(a) == got
+
+
 def test_direct_constructions_keep_invariants_randomized():
     rng = random.Random(4242)
     G = TameCyclic.make(5, 4)

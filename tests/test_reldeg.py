@@ -21,6 +21,7 @@ from apxval.curated import (
     theta_target,
     theta_type,
 )
+import apxval.reldeg as reldeg
 from apxval.reldeg import (
     NotFixedLaw,
     approx_coefficient,
@@ -243,6 +244,19 @@ def test_multiplicativity_chain():
     assert check_multiplicativity(A, f, f)
 
 
+def test_multiplicativity_composed_law_only_past_both_thresholds():
+    # the composed law starts past f's threshold and past the preimage of
+    # g's threshold on the image type; the whole tail put (-1/2, -1/4) off
+    # the line w = gamma and raised InternalInconsistency
+    p = 2
+    A = replace(theta_type(p), tail_depth=8)
+    f = parse_poly(
+        "X^5 + (t^(-1/2))X^4 + (t^2)X^3 + (t^(-1/4))X^2 + (t^(-1))X + 1", p
+    )
+    g = parse_poly("(t^2)X", p)
+    assert check_multiplicativity(A, f, g)
+
+
 def test_combine_same_degree():
     p = 3
     A = theta_type(p)
@@ -327,6 +341,85 @@ def test_dist_inequality_chain():
     assert B.distance() > image_cut
 
 
+def test_rel_degree_says_when_the_envelope_answers_alone():
+    for p in (2, 3, 5):
+        deep = rel_degree(theta_type(p), theta_minpoly(p))
+        assert deep.sampled_points == 6
+        # one tail point: nothing to fit, the envelope's law stands alone
+        shallow = replace(theta_type(p), tail_depth=1)
+        alone = rel_degree(shallow, theta_minpoly(p))
+        assert alone.sampled_points == 1
+        assert (alone.h, alone.beta) == (deep.h, deep.beta)
+
+
+# --- the sampled route's power cache -----------------------------------------
+
+
+class _Tripwire:
+    """Raises on any access: stands in for the Taylor route's powers."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the sampled route read _powers ({name})")
+
+    def __getitem__(self, key):
+        raise AssertionError("the sampled route read _powers")
+
+    def __iter__(self):
+        raise AssertionError("the sampled route read _powers")
+
+    def __len__(self):
+        raise AssertionError("the sampled route read _powers")
+
+
+def _law_polys(p):
+    f = theta_minpoly(p)
+    X = ValPoly.X(p)
+    return [f, X * X * f, X * X * X * f]
+
+
+def test_sampled_law_never_reads_the_taylor_powers():
+    for p in (2, 3):
+        for f in _law_polys(p):
+            A = theta_type(p, precision=12)
+            object.__setattr__(A, "_powers", _Tripwire())
+            law = sampled_law(theta_type(p, precision=12), f)
+            assert sampled_law(A, f) == law
+
+
+def test_sampled_powers_equal_the_taylor_powers():
+    # c^k by the halving split against c^(k-1) * c: the mul kernel must be
+    # associative on the approximants
+    for p in (2, 3):
+        A = theta_type(p, precision=12)
+        for f in _law_polys(p):
+            rel_degree(A, f)
+        assert len(A._sampled_powers) == len(A.approximants) + 1
+        assert any(A._powers)
+        # a tail point below the envelope threshold is never sampled, so
+        # its list may be the shorter one
+        for sampled, taylor in zip(A._sampled_powers, A._powers):
+            k = min(len(sampled), len(taylor))
+            assert sampled[:k] == taylor[:k]
+        assert A._sampled_powers[-2] == A._powers[-1] != []
+        x = A.target
+        assert A._sampled_powers[-1] == [x**k for k in range(1, p + 4)]
+
+
+def test_second_rel_degree_grows_no_power_list():
+    for p in (2, 3):
+        A = theta_type(p, precision=12)
+
+        def cached():
+            return [[id(s) for s in ps] for ps in A._powers + A._sampled_powers]
+
+        for f in _law_polys(p):
+            first = rel_degree(A, f)
+            assert A._sampled_powers[-1] and A._sampled_powers[-2]
+            before = cached()
+            assert rel_degree(A, f) == first
+            assert cached() == before
+
+
 # --- failure branches of the two law routes ---------------------------------
 
 
@@ -362,8 +455,6 @@ def _misreport_rel_degree(monkeypatch, **wrong):
     """Patch rel_degree, as the other reldeg functions see it, to report a
     wrong h or beta; their tail checks must catch it."""
     import dataclasses
-
-    import apxval.reldeg as reldeg
 
     real = reldeg.rel_degree
     monkeypatch.setattr(
@@ -408,6 +499,11 @@ class _ValueTable:
     def __call__(self, s):
         return self.table[s]
 
+    @staticmethod
+    def power_sum(f, x, powers):
+        """valpoly.power_sum, the sampled route's evaluation, for the stub."""
+        return f(x)
+
 
 # value of the tail point at approximant n (of len_ approximants) as a function
 # of gamma_n, or None for an exactly vanishing value; the fit goes through
@@ -439,7 +535,8 @@ def _shaped_values(A, shape):
 
 
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
-def test_sampled_law_failure_shapes(shape):
+def test_sampled_law_failure_shapes(shape, monkeypatch):
+    monkeypatch.setattr(reldeg, "power_sum", _ValueTable.power_sum)
     p = 3
     A = theta_type(p)
     f = _ValueTable(A, Series.zero(p), _shaped_values(A, shape))

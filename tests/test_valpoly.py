@@ -14,6 +14,7 @@ from apxval.valpoly import (
     f_adic_reconstruct,
     formal_derivative,
     poly_divmod,
+    power_sum,
     taylor_check,
     taylor_coefficients,
 )
@@ -222,6 +223,26 @@ def test_shared_powers_match_fresh_tables():
         assert len(powers) == 11 and powers[0] is c
         for k in range(1, 11):
             assert powers[k] == powers[k - 1] * c
+
+
+def test_power_sum_equals_horner_randomized():
+    # Horner is the reference: equal terms and equal precision
+    rng = random.Random(407)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        make = truncated_series if rng.random() < 0.7 else random_series
+        x = make(rng, p)
+        powers = []
+        # one shared power list across degrees, as the type's cache holds it
+        for deg in (4, 0, 9, 2, 12, 6):
+            coeffs = [make(rng, p) for _ in range(deg)] + [Series.one(p)]
+            if deg:
+                coeffs[rng.randrange(deg)] = Series.zero(p)
+            f = ValPoly(p, tuple(coeffs))
+            assert power_sum(f, x, powers) == f(x)
+            assert power_sum(f, x, []) == f(x)
+        assert len(powers) == 12 and powers[0] is x
+    assert power_sum(ValPoly.zero(3), Series.t(3), []) == Series.zero(3)
 
 
 def test_f_adic_by_construction():
