@@ -6,8 +6,8 @@ INF marks an exact element.  The valuation is the least stored exponent,
 with v(t) = 1 throughout.
 
 Exponents are stored as integers over one common denominator ``den`` per
-series, so the kernels (+, *, -, scale, shift, truncate, coeff, residue,
-invert) run on integers and rescale to lcm(den_a, den_b) where operand
+series, so the kernels (+, *, -, dot, scale, shift, truncate, coeff,
+residue, invert) run on integers and rescale to lcm(den_a, den_b) where operand
 denominators differ.  ``Fraction`` appears only at the API boundary: the
 derived ``terms`` view, ``val()``, ``leading()``, precisions and
 subfield predicates.
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     IndeterminateValuation,
@@ -492,6 +492,51 @@ def min_value(a: GroupValue, b: GroupValue) -> GroupValue:
     if b is INF:
         return a
     return min(a, b)
+
+
+def dot(xs: Sequence[Series], ys: Sequence[Series]) -> Series:
+    """sum_j xs[j] * ys[j] for nonempty ``xs``, equal to the left-to-right
+    sum of the products, precision included.
+
+    One pass: every product's integer terms go into one accumulator over
+    the common denominator, cut at the least product precision, so no
+    product or partial sum is built as a series.  Relies on the operands'
+    invariants, as ``*`` does.
+    """
+    p = xs[0].p
+    pairs = []
+    prec = INF
+    den = 1
+    for a, b in zip(xs, ys):
+        if a.p != p or b.p != p:
+            raise PreconditionError(f"mixed primes {p}, {a.p} and {b.p}")
+        prec = min_value(prec, a._mul_precision(b))
+        if a.ints and b.ints:
+            pairs.append((a, b))
+            den = lcm(den, a.den, b.den)
+    cutoff = None if prec is INF else _ceil_scaled(prec, den)
+    acc: dict[int, int] = {}
+    for a, b in pairs:
+        a, b = _rescaled(a.ints, den // a.den), _rescaled(b.ints, den // b.den)
+        if len(b) == 1:
+            a, b = b, a  # the outer loop runs over a one-term operand
+        # an exact product keeps every k, all of them below the last one + 1
+        top = a[-1][0] + b[-1][0] + 1 if cutoff is None else cutoff
+        for ea, ca in a:
+            lim = top - ea
+            if b[0][0] >= lim:
+                break  # a is sorted
+            for eb, cb in b:
+                if eb >= lim:
+                    break  # b is sorted
+                k = ea + eb
+                acc[k] = acc.get(k, 0) + ca * cb
+    kept = []
+    for k in sorted(acc):
+        c = acc[k] % p
+        if c:
+            kept.append((k, c))
+    return _from_ints(p, den, tuple(kept), prec)
 
 
 def invert(a: Series, target_precision: GroupValue) -> Series:

@@ -42,8 +42,8 @@ class RelDegree:
     h: int
     beta: GroupValue
     taylor_intercepts: tuple[GroupValue, ...]
-    # tail points the sampled route checked the law on; below two, (h, beta)
-    # rests on the envelope alone
+    # tail points the sampled route checked the law on; 0 when it found
+    # fewer than two, and (h, beta) rests on the envelope alone
     sampled_points: int
 
 
@@ -91,23 +91,22 @@ def _check_tail_law(points, h: int, beta: GroupValue, message: str):
 
 def sampled_law(
     A: ApproxType, f: ValPoly, above: Optional[GroupValue] = None
-) -> tuple[int, GroupValue]:
-    """Fit v(f(x) - f(c_n)) = beta + h * gamma_n exactly on the tail.
+) -> tuple[int, GroupValue, int]:
+    """Fit v(f(x) - f(c_n)) = beta + h * gamma_n exactly on the tail:
+    (h, beta, the number of tail points fitted).
 
     The affine law only holds once gamma_n has passed every crossing of the
     derivative-value family; callers that know that threshold pass it as
     ``above`` so the fit is restricted to the stable region.
     """
-    return _fit_sampled(_tail_values(A, f, above))
-
-
-def _fit_sampled(pts) -> tuple[int, GroupValue]:
+    pts = _tail_values(A, f, above)
     if len(pts) < 2:
         raise InsufficientPrecision("too few determinate tail values")
     try:
-        return fit_tail_law(pts)
+        h, beta = fit_tail_law(pts)
     except StabilizationError as exc:
         raise InternalInconsistency(f"sampled tail: {exc}") from exc
+    return h, beta, len(pts)
 
 
 def rel_degree(A: ApproxType, f: ValPoly) -> RelDegree:
@@ -122,17 +121,17 @@ def rel_degree(A: ApproxType, f: ValPoly) -> RelDegree:
             "some derivative value is not fixed at this depth"
         )
     h, beta, threshold = envelope_law(betas, A.distance())
-    pts = _tail_values(A, f, above=threshold)
-    # with fewer than two points there is nothing to sample: the envelope
-    # answers alone, and sampled_points says so
-    if len(pts) >= 2:
-        h_s, beta_s = _fit_sampled(pts)
-        if (h_s, beta_s) != (h, beta):
-            raise InternalInconsistency(
-                f"envelope gives (h={h}, beta={beta}) but the sampled tail "
-                f"law gives (h={h_s}, beta={beta_s})"
-            )
-    return RelDegree(h, beta, tuple(betas), len(pts))
+    try:
+        h_s, beta_s, points = sampled_law(A, f, above=threshold)
+    except InsufficientPrecision:
+        # nothing to sample; the envelope answers alone
+        return RelDegree(h, beta, tuple(betas), 0)
+    if (h_s, beta_s) != (h, beta):
+        raise InternalInconsistency(
+            f"envelope gives (h={h}, beta={beta}) but the sampled tail law "
+            f"gives (h={h_s}, beta={beta_s})"
+        )
+    return RelDegree(h, beta, tuple(betas), points)
 
 
 def rel_degree_general(
@@ -315,7 +314,7 @@ def check_multiplicativity(A: ApproxType, f: ValPoly, g: ValPoly) -> bool:
     _, _, thr_f = envelope_law(list(rd_f.taylor_intercepts), A.distance())
     _, _, thr_g = envelope_law(list(rd_g.taylor_intercepts), B.distance())
     above = max(thr_f, (thr_g - rd_f.beta) / rd_f.h)
-    h_left, _ = sampled_law(A, g.compose(f), above=above)
+    h_left, _, _ = sampled_law(A, g.compose(f), above=above)
     return h_left == rd_f.h * rd_g.h
 
 

@@ -8,12 +8,12 @@ degrees.
 
 A polynomial evaluates two ways.  ``f(x)`` is Horner's scheme: each step
 multiplies the whole accumulator by x, a full convolution.  ``power_sum``
-adds a_j * x^j over a list of powers of x that the caller keeps across
-polynomials, so with monomial coefficients nearly every product is the
-one-term shift.  Its powers come from the halving split x^k =
-x^ceil(k/2) * x^floor(k/2); the Taylor tables build theirs as
-c^k = c^(k-1) * c, so the two law routes that rest on them share neither
-a cache nor an algorithm.  Both evaluations give the same series,
+sums a_j * x^j in one ``hahn.dot`` pass over a list of powers of x that
+the caller keeps across polynomials, so with monomial coefficients nearly
+every product is a one-term shift and no partial sum is built.  Its
+powers come from the halving split x^k = x^ceil(k/2) * x^floor(k/2); the
+Taylor tables build theirs as c^k = c^(k-1) * c, so the two law routes
+that rest on them share neither a cache nor an algorithm.  Both evaluations give the same series,
 precision included; Horner stays the reference in the tests.
 """
 
@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import comb, gcd
 
 from .errors import PreconditionError
-from .hahn import Series
+from .hahn import Series, dot
 from .ordval import INF, GroupValue
 
 
@@ -136,8 +136,8 @@ def power_sum(f: ValPoly, x: Series, powers: list[Series]) -> Series:
     ``powers`` is a caller-owned list [x, x^2, ...] of powers of this same
     x, extended in place as far as deg f needs; each x^k is
     x^ceil(k/2) * x^floor(k/2), so the result never depends on what the
-    list already held.  Only exact-zero coefficients are skipped: a zero
-    coefficient that is truncated still bounds the precision.
+    list already held.  The sum is one ``dot``: a zero coefficient that is
+    truncated still bounds the precision, as in Horner.
     """
     coeffs = f.coeffs
     if not coeffs:
@@ -148,11 +148,7 @@ def power_sum(f: ValPoly, x: Series, powers: list[Series]) -> Series:
             powers.append(x)
         else:
             powers.append(powers[k - k // 2 - 1] * powers[k // 2 - 1])
-    acc = coeffs[0]
-    for a, xk in zip(coeffs[1:], powers):
-        if not a.is_exact_zero:
-            acc = acc + a * xk
-    return acc
+    return dot(coeffs, [Series.one(f.p), *powers])
 
 
 def taylor_coefficients(

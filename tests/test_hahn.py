@@ -7,9 +7,11 @@ from apxval.errors import (
     IndeterminateValuation,
     InsufficientPrecision,
     NotRepresentable,
+    PreconditionError,
 )
 from apxval.hahn import (
     Series,
+    dot,
     integers_predicate,
     invert,
     min_value,
@@ -274,6 +276,37 @@ def test_mul_precision_matches_fraction_formula_randomized():
         assert got == want, (a, b)
         assert (got is INF) == (want is INF)
         assert b._mul_precision(a) == got
+
+
+def test_dot_equals_the_sum_of_products_randomized():
+    # the left-to-right sum of the products is the reference: equal terms
+    # and equal precision, over mixed denominators and one-term operands
+    rng = random.Random(1618)
+    for trial in range(3000):
+        p = rng.choice([2, 3, 5])
+        xs, ys = [], []
+        for _ in range(rng.randint(1, 6)):
+            pair = []
+            for _ in range(2):
+                kind = rng.randrange(6)
+                if kind == 0:
+                    pair.append(Series.zero(p))
+                elif kind == 1:
+                    pair.append(Series.zero(p, Fraction(rng.randint(-30, 30), 7)))
+                elif kind == 2:
+                    pair.append(one_term_operand(rng, p, rng.choice(DEN_CHOICES)))
+                else:
+                    pair.append(differential_operand(rng, p))
+            xs.append(pair[0])
+            ys.append(pair[1])
+        want = xs[0] * ys[0]
+        for a, b in zip(xs[1:], ys[1:]):
+            want = want + a * b
+        got = dot(xs, ys)
+        assert got == want, (xs, ys)
+        assert_series_invariants(got)
+    with pytest.raises(PreconditionError, match="mixed primes"):
+        dot([Series.one(2)], [Series.one(3)])
 
 
 def test_direct_constructions_keep_invariants_randomized():

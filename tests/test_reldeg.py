@@ -347,8 +347,10 @@ def test_rel_degree_says_when_the_envelope_answers_alone():
         assert deep.sampled_points == 6
         # one tail point: nothing to fit, the envelope's law stands alone
         shallow = replace(theta_type(p), tail_depth=1)
+        with pytest.raises(InsufficientPrecision, match="too few"):
+            sampled_law(shallow, theta_minpoly(p))
         alone = rel_degree(shallow, theta_minpoly(p))
-        assert alone.sampled_points == 1
+        assert alone.sampled_points == 0
         assert (alone.h, alone.beta) == (deep.h, deep.beta)
 
 
