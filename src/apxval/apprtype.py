@@ -325,7 +325,13 @@ def pushed_forward(
     start = 0
     prev = None
     for i, c in enumerate(images):
-        g = (target - c).val()
+        diff = target - c
+        try:
+            g = diff.val()
+        except IndeterminateValuation as exc:
+            raise InsufficientPrecision(
+                f"f(c_{i}) agrees with f(x) up to precision {diff.precision}"
+            ) from exc
         if prev is not None and not g > prev:
             start = i
         prev = g

@@ -34,7 +34,7 @@ from .valpoly import (
     taylor_coefficients,
 )
 from .apprtype import ApproxType, Fixed, pushed_forward
-from .envelope import AffineFamily, envelope_law, eventual_argmin, fit_tail_law
+from .envelope import AffineFamily, _ordered_argmin, envelope_law, fit_tail_law
 
 
 @dataclass(frozen=True)
@@ -166,15 +166,21 @@ def rel_degree_general(
             gammas.append(res.value)
         intercept = gammas[i] if gammas[i] is INF else gammas[i] + i * rd.beta
         items.append((i, intercept, i * rd.h))
-    fam = AffineFamily.make(items, A.distance())
-    m = eventual_argmin(fam)
+    m, order = _ordered_argmin(AffineFamily.make(items, A.distance()))
     if m == 0:
         return Fixed(gammas[0])
     beta = gammas[m] + m * rd.beta
+    # the law holds once gamma is past the minimal polynomial's envelope
+    # threshold and the digit family's order threshold
+    _, _, threshold = envelope_law(list(rd.taylor_intercepts), A.distance())
+    above = max(threshold, order.beta)
     pts = []
     for n in A.tail():
+        gamma = A.gamma(n)
+        if not gamma > above:
+            continue
         try:
-            pts.append((A.gamma(n), g(A.approximants[n]).val()))
+            pts.append((gamma, g(A.approximants[n]).val()))
         except IndeterminateValuation:
             continue
     _check_tail_law(

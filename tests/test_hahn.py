@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from apxval import hahn
 from apxval.errors import (
     IndeterminateValuation,
     InsufficientPrecision,
@@ -513,3 +514,174 @@ def test_public_constructor_converts_without_normalising():
     )
     with pytest.raises(AttributeError):
         s.p = 5
+
+
+# --- the two convolution routes of * and dot -------------------------------
+#
+# ``_convolve`` multiplies pairwise or by Kronecker substitution, which packs
+# each operand with ``_pack``.  Emptying ``_SLOTS`` leaves no slot width, so
+# every call takes the pairwise route: the reference the Kronecker route
+# must match in ``ints``, ``den`` and ``precision``.
+
+
+@pytest.fixture
+def packed_widths(monkeypatch):
+    """The slot width of every operand the Kronecker route packs."""
+    widths = []
+    pack = hahn._pack
+
+    def spy(ints, low, width, fmt):
+        widths.append(width)
+        return pack(ints, low, width, fmt)
+
+    monkeypatch.setattr(hahn, "_pack", spy)
+    return widths
+
+
+def pairwise(monkeypatch, f, *args):
+    with monkeypatch.context() as m:
+        m.setattr(hahn, "_SLOTS", ())
+        return f(*args)
+
+
+def assert_same_representation(got, want):
+    assert (got.ints, got.den, got.precision) == (
+        want.ints, want.den, want.precision
+    )
+
+
+def spread_operand(rng, p, n, den, dense, exact):
+    """n terms over (1/den)Z from a start at or below 0, in steps of 1-2
+    slots (dense) or 1-600 (sparse); a truncated operand is cut at a
+    precision inside its terms, so it keeps only some of them."""
+    k = rng.randint(-40, 0)
+    step = 2 if dense else 600
+    ks = []
+    for _ in range(n):
+        ks.append(k)
+        k += rng.randint(1, step)
+    terms = [(Fraction(k, den), rng.randint(1, p - 1)) for k in ks]
+    prec = INF if exact else Fraction(rng.randint(ks[1], k), den)
+    return Series.make(p, terms, prec)
+
+
+def route_size(rng):
+    r = rng.random()
+    if r < 0.03:
+        return rng.randint(100, 300)
+    if r < 0.5:
+        return rng.randint(13, 60)
+    return rng.randint(2, 12)
+
+
+def test_both_routes_match_the_references_randomized(
+    monkeypatch, packed_widths
+):
+    rng = random.Random(6060)
+    trials = 240
+    dense_trials = 0
+    for _ in range(trials):
+        p = rng.choice([2, 3, 5, 7, 251])
+        dense, exact = rng.random() < 0.7, rng.random() < 0.5
+        a, b = (
+            spread_operand(
+                rng, p, route_size(rng), rng.choice([1, 2, 3, 6]), dense,
+                exact or rng.random() < 0.3,
+            )
+            for _ in range(2)
+        )
+        before = len(packed_widths)
+        prod = a * b
+        dense_trials += len(packed_widths) > before
+        assert_same_representation(prod, pairwise(monkeypatch, a.__mul__, b))
+        assert_matches(p, prod, ref_mul(p, ref_of(a), ref_of(b)))
+        if len(a.ints) * len(b.ints) <= 2000:
+            pairs = [
+                (ea + eb, ca * cb) for ea, ca in a.terms for eb, cb in b.terms
+            ]
+            assert prod == Series.make(p, pairs, a._mul_precision(b))
+    # both routes ran, and more than one slot width
+    assert 0 < dense_trials < trials
+    assert len(set(packed_widths)) > 1
+
+
+def test_dot_routes_match_the_sum_of_products_randomized(
+    monkeypatch, packed_widths
+):
+    rng = random.Random(7070)
+    trials = 250
+    dense_trials = summed_pairs = 0
+    for _ in range(trials):
+        p = rng.choice([2, 3, 5])
+        dense = rng.random() < 0.7
+        xs, ys = [], []
+        for _ in range(rng.randint(1, 4)):
+            for out in (xs, ys):
+                out.append(spread_operand(
+                    rng, p, rng.randint(2, 40), rng.choice([1, 2, 4]),
+                    dense, rng.random() < 0.6,
+                ))
+        before = len(packed_widths)
+        got = dot(xs, ys)
+        packed = len(packed_widths) - before
+        dense_trials += packed > 0
+        summed_pairs += packed > 2
+        assert_same_representation(got, pairwise(monkeypatch, dot, xs, ys))
+        want = xs[0] * ys[0]
+        for a, b in zip(xs[1:], ys[1:]):
+            want = want + a * b
+        assert got == want
+        ref = ref_mul(p, ref_of(xs[0]), ref_of(ys[0]))
+        for a, b in zip(xs[1:], ys[1:]):
+            ref = ref_add(p, ref, ref_mul(p, ref_of(a), ref_of(b)))
+        assert_matches(p, got, ref)
+    assert 0 < dense_trials < trials
+    assert summed_pairs > 0  # several pair products summed at one base
+
+
+def ones(p, n, c=1):
+    return Series.make(p, [(k, c) for k in range(n)])
+
+
+@pytest.mark.parametrize("n, width", [(255, 1), (256, 2)])
+def test_one_byte_slots_hold_up_to_255_products(n, width, packed_widths):
+    # the middle coefficient of the all-ones square is n before reduction
+    prod = ones(2, n) * ones(2, n)
+    assert packed_widths == [width, width]
+    want = [(k, 1) for k in range(2 * n - 1) if min(k + 1, 2 * n - 1 - k) % 2]
+    assert prod.ints == tuple(want)
+
+
+def test_dot_slots_hold_the_sum_over_its_pairs(packed_widths):
+    # each product's coefficient at t^127 (128) fits a byte, their sum not
+    a, b = ones(2, 128), ones(2, 129)
+    got = dot([a, a], [a, b])
+    assert set(packed_widths) == {2}
+    assert got == a * a + a * b
+
+
+@pytest.mark.parametrize("p, width", [(251, 4), (65521, 8)])
+def test_wide_primes_take_wider_slots(monkeypatch, p, width, packed_widths):
+    a, b = ones(p, 40, p - 1), ones(p, 60, p - 2)
+    prod = a * b
+    assert packed_widths == [width, width]
+    assert_same_representation(prod, pairwise(monkeypatch, a.__mul__, b))
+    assert_matches(p, prod, ref_mul(p, ref_of(a), ref_of(b)))
+
+
+@pytest.mark.parametrize("n, widths", [(4, [8, 8]), (5, [])])
+def test_slots_past_8_bytes_take_the_pairwise_route(n, widths, packed_widths):
+    # 4 * (p - 1)^2 is just below 2^64 and 5 * (p - 1)^2 above it
+    p = 2147483647
+    a, b = ones(p, n, p - 1), ones(p, 40, p - 1)
+    prod = a * b
+    assert packed_widths == widths
+    assert_matches(p, prod, ref_mul(p, ref_of(a), ref_of(b)))
+
+
+def test_sparse_exponents_take_the_pairwise_route(packed_widths):
+    rng = random.Random(8)
+    a = spread_operand(rng, 3, 120, 1, dense=False, exact=True)
+    prod = a * a
+    assert packed_widths == []
+    assert_matches(3, prod, ref_mul(3, ref_of(a), ref_of(a)))

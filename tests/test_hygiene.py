@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is used in it."""
+"""Source hygiene: every name a library module imports is used in it, and
+every private function or method is referenced somewhere in the library."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,55 @@ def test_unused_import_check_flags_what_it_should():
         "    return os.sep\n"
     )
     assert unused_imports(source) == [("regex", 2), ("SubfieldPredicate", 3)]
+
+
+def unreferenced_private_functions(sources):
+    """(file, name, line) for each private module-level function or method
+    of ``sources`` (file name -> source) that no source reads: as a name, an
+    attribute or an imported name."""
+    used, defs = set(), []
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            defs += [
+                (path, d.name, d.lineno)
+                for d in body
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and d.name.startswith("_")
+                and not d.name.endswith("__")
+            ]
+    return [d for d in defs if d[1] not in used]
+
+
+def test_every_private_function_is_referenced():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_private_functions(sources) == []
+
+
+def test_unreferenced_private_check_flags_what_it_should():
+    sources = {
+        "a.py": (
+            "def _dead(): pass\n"
+            "def _live(): pass\n"
+            "def _imported(): pass\n"
+            "def public():\n"
+            "    def _nested(): pass\n"
+            "    return _live()\n"
+            "class C:\n"
+            "    def __repr__(self): return self._used()\n"
+            "    def _used(self): pass\n"
+            "    def _unused(self): pass\n"
+        ),
+        "b.py": "from .a import _imported\n",
+    }
+    assert unreferenced_private_functions(sources) == [
+        ("a.py", "_dead", 1), ("a.py", "_unused", 10),
+    ]

@@ -122,6 +122,19 @@ def test_rel_degree_general_does_not_fit_the_minpoly_law():
     )
 
 
+def test_rel_degree_general_checks_only_points_past_the_thresholds():
+    # the digit law holds past the minimal polynomial's envelope threshold
+    # and the digit family's order threshold; the whole tail put the first
+    # point (-1/2, 1) off the line w = -1/2 + 4 * gamma and raised
+    # InternalInconsistency
+    p = 2
+    A = replace(theta_type(p, precision=10), tail_depth=8, window=1)
+    g = parse_poly("X^5 + (t^2)X^4 + X^3 + (t^(-2) + t^2)X + t", p)
+    assert rel_degree_general(A, g, theta_minpoly(p)) == NotFixedLaw(
+        2, 2, Fraction(-1, 2)
+    )
+
+
 def test_h_upper_bound():
     p = 3
     # unique minimum coefficient value at index p
@@ -255,6 +268,19 @@ def test_multiplicativity_composed_law_only_past_both_thresholds():
     )
     g = parse_poly("(t^2)X", p)
     assert check_multiplicativity(A, f, g)
+
+
+def test_multiplicativity_refuses_when_an_image_approximant_is_hidden():
+    # f(c_2) agrees with f(x) up to the image's precision, so v(f(x) - f(c_2))
+    # is unknown: a precision refusal, not IndeterminateValuation
+    p = 2
+    A = replace(theta_type(p, precision=1, transcendental=True), tail_depth=8)
+    f = parse_poly("(t^(-4))X^4 + X^3 + (t^2)X^2 + (t^3)X + t^(1/2)", p)
+    g = parse_poly("(t^(-1/2))X", p)
+    with pytest.raises(
+        InsufficientPrecision, match=r"f\(c_2\) .* precision -9/2"
+    ):
+        check_multiplicativity(A, f, g)
 
 
 def test_combine_same_degree():
