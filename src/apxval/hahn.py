@@ -12,21 +12,25 @@ denominators differ.  ``Fraction`` appears only at the API boundary: the
 derived ``terms`` view, ``val()``, ``leading()``, precisions and
 subfield predicates.
 
-Products (``*`` and ``dot``) share one convolution, ``_convolve``, with two
-routes.  Where the exponents lie dense on the common denominator, each
-operand is packed into one integer, a coefficient per fixed-width byte slot,
-and one big-integer product forms every pairwise product (Kronecker
-substitution); elsewhere, and where a slot would need more than 8 bytes,
-the terms are multiplied pair by pair.  A fixed cost rule, stated at
-``_kronecker``, picks the route; both give the same series.
+Products (``*`` and ``dot``) have three routes.  Where the exponents lie
+dense on the common denominator, one big product per operand pair forms
+every pairwise product (Kronecker substitution): each operand is packed
+into one integer with a coefficient per fixed-width byte slot, or, for long
+products over small primes, into one ``Decimal`` with a coefficient per
+slot of a few decimal digits, which libmpdec multiplies by a
+number-theoretic transform.  Elsewhere, and where a slot would need more
+than 8 bytes, the terms are multiplied pair by pair.  One fixed cost rule,
+stated at ``_kronecker``, picks the route; all three give the same series.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass, field
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
 from operator import itemgetter
 from sys import byteorder as _ORDER
@@ -312,9 +316,9 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         """Integer convolution truncated at ``_mul_precision``: by Kronecker
-        substitution where the exponents are dense, pair by pair elsewhere
-        (``_convolve``).  A one-term operand shifts and scales the other's
-        terms instead.
+        substitution where the exponents are dense (``_kronecker``), pair
+        by pair elsewhere (``_pairwise``).  A one-term operand shifts and
+        scales the other's terms instead.
 
         Relies on each operand's invariants: the loops stop at the first
         product past the cutoff.
@@ -339,7 +343,17 @@ class Series:
                 p, den, tuple([(k + e, ck * ce % p) for k, ck in kept]), prec
             )
         cutoff = None if prec is INF else _ceil_scaled(prec, den)
-        return _from_ints(p, den, _convolve([(a, b)], cutoff, p), prec)
+        high = a[-1][0] + b[-1][0]
+        if cutoff is not None and high >= cutoff:
+            high = cutoff - 1
+        pairs = ((a, b),)
+        low, work = a[0][0] + b[0][0], len(a) * len(b)
+        ints = None
+        if high - low + 51 <= 3 * work:  # else too sparse for _kronecker
+            ints = _kronecker(pairs, cutoff, low, high, work, p)
+        if ints is None:
+            ints = _pairwise(pairs, cutoff, p)
+        return _from_ints(p, den, ints, prec)
 
     def _mul_precision(self, other: "Series") -> GroupValue:
         """min(v(a) + prec(b), v(b) + prec(a)) over the truncated operands,
@@ -477,20 +491,19 @@ def _rescaled(ints, f: int):
     return [(k * f, c) for k, c in ints]
 
 
-# Slot widths in bytes of the Kronecker route, with their memoryview formats
+# Slot widths in bytes of the Kronecker routes, with their memoryview formats
 _SLOTS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+# Digits per slot of the decimal route: every slot bound below 256^8 fits
+_DIGITS = range(1, 21)
+# Exact decimal arithmetic: a rounded product or sum raises
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
 
 
 def _convolve(pairs, cutoff, p: int) -> tuple[tuple[int, int], ...]:
     """The reduced, sorted terms k < ``cutoff`` (every k when it is None)
     of sum a * b over ``pairs`` of integer term sequences on one
-    denominator, each with terms.
-
-    Where the exponents are dense, one big-integer product per pair forms
-    every pairwise product (Kronecker substitution, ``_kronecker``);
-    elsewhere, and where a slot would need more than 8 bytes, the pairs
-    are multiplied one by one.
-    """
+    denominator, each with terms: by Kronecker substitution where the
+    exponents are dense (``_kronecker``), pair by pair elsewhere."""
     if not pairs:
         return ()
     work = 0
@@ -504,12 +517,16 @@ def _convolve(pairs, cutoff, p: int) -> tuple[tuple[int, int], ...]:
             high = hi
     if cutoff is not None and high >= cutoff:
         high = cutoff - 1
-    # Kronecker costs at least 50 + one per slot, pairwise 3 per pair (the
-    # units of the rule in ``_kronecker``), so sparse products stop here
-    if low <= high and high - low + 51 <= 3 * work:
-        dense = _kronecker(pairs, cutoff, low, high, p)
+    if high - low + 51 <= 3 * work:  # else too sparse for _kronecker
+        dense = _kronecker(pairs, cutoff, low, high, work, p)
         if dense is not None:
             return dense
+    return _pairwise(pairs, cutoff, p)
+
+
+def _pairwise(pairs, cutoff, p: int) -> tuple[tuple[int, int], ...]:
+    """``_convolve`` term by term: every product below the cutoff goes into
+    one accumulator."""
     acc: dict[int, int] = {}
     for a, b in pairs:
         if len(a) > len(b):
@@ -534,30 +551,45 @@ def _convolve(pairs, cutoff, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(kept)
 
 
-def _kronecker(pairs, cutoff, low: int, high: int, p: int):
-    """``_convolve``'s dense route, or None where its cost estimate exceeds
-    the pairwise loop's or a slot would need more than 8 bytes.
+def _kronecker(pairs, cutoff, low: int, high: int, work: int, p: int):
+    """``_convolve``'s dense routes, or None where the pairwise loop is
+    estimated cheaper or a slot would need more than 8 bytes.  ``low`` and
+    ``high`` bound the exponents kept, ``work`` is the number of term
+    products; callers send only products with high - low + 51 <= 3 *
+    work, the least a dense route can cost (see below).
 
     Terms that cannot land below the cutoff are dropped first.  Each
-    operand becomes one integer with its coefficient at byte slot
-    (exponent - its least exponent), slots wide enough for every sum of
-    coefficient products; the shifted sum of the pair products holds each
-    exponent's sum in slot (exponent - ``low``), read up to ``high``.
+    operand becomes one number with its coefficient at slot (exponent - its
+    least exponent), slots wide enough for every sum of coefficient
+    products; the shifted sum of the pair products holds each exponent's
+    sum in slot (exponent - ``low``), read up to ``high``.  The integer
+    route packs byte slots into an ``int``; the decimal route packs slots
+    of ``digits`` decimal digits into a ``Decimal``, whose long products
+    libmpdec forms by a number-theoretic transform.
 
     The route rule compares cost estimates in units of 0.1 us, fitted on
     CPython 3.11, x86-64: the pairwise loop costs about 3 per term product
-    below the cutoff; this route about 50, plus 1 per slot to decode, plus
-    d_a * d_b^0.585 / 9 per product of d_a >= d_b 30-bit digits
-    (Karatsuba).  Measured crossovers at p = 3: 6 x 6 terms one slot
-    apart; about 0.5 pairs per slot at 1,000 one-byte slots, 1 at 4,000
-    two-byte slots, 3 at 100,000.
+    below the cutoff; either dense route about 50, plus 1 per slot to
+    decode, plus its product: the integer route d_a * d_b^0.585 / 9 per
+    product of d_a >= d_b 30-bit digits (Karatsuba), the decimal route 0.6
+    per decimal digit of its operands (libmpdec's transform is close to
+    linear).  Measured crossovers, pairwise to integer at p = 3: 6 x 6
+    terms one slot apart; about 0.5 pairs per slot at 1,000 one-byte
+    slots, 1 at 4,000 two-byte slots, 3 at 100,000.  Integer to decimal,
+    two operands of equal span: about 3,000 slots each at p = 3 and 7
+    (4 digits a slot, two-byte slots), 2,500 at p = 2 with 400 terms
+    (3 digits, two-byte slots), 14,000 at p = 2 with 200 terms (3 digits,
+    one-byte slots).  The decimal route needs digits * (p - 1) < 256, so
+    it serves small primes only.
     """
+    if low > high:
+        return None  # every product lands at or past the cutoff
     kept_pairs = []
-    work = terms = 0
+    terms = 0
+    if cutoff is not None:
+        work = 0
     for a, b in pairs:
-        if cutoff is None:
-            work += len(a) * len(b)
-        else:
+        if cutoff is not None:
             if a[0][0] + b[0][0] >= cutoff:
                 continue  # every product lands at or past the cutoff
             a = _below(a, cutoff - b[0][0])
@@ -571,19 +603,28 @@ def _kronecker(pairs, cutoff, low: int, high: int, p: int):
         terms += min(len(a), len(b))
         kept_pairs.append((a, b))
     # a slot sums at most (p - 1)^2 per term of each pair's shorter side
-    width, fmt = next(
-        ((w, f) for w, f in _SLOTS if terms * (p - 1) ** 2 < 256**w), (0, "")
-    )
+    bound = terms * (p - 1) ** 2
+    width, fmt = next(((w, f) for w, f in _SLOTS if bound < 256**w), (0, ""))
     if not width:
         return None
-    cost = 0.0
+    karatsuba = spans = 0.0
     for a, b in kept_pairs:
         short, long = sorted((a[-1][0] - a[0][0] + 1, b[-1][0] - b[0][0] + 1))
-        cost += long * short**0.585
+        karatsuba += long * short**0.585
+        spans += short + long
     # a slot of ``width`` bytes is 8 * width / 30 digits
-    cost = cost * (4 * width / 15) ** 1.585 / 9 + high - low + 51
-    if cost > 3 * work:
+    karatsuba *= (4 * width / 15) ** 1.585 / 9
+    decimal = 0.6 * spans
+    if karatsuba > decimal:  # else no number of digits can win
+        digits = next((d for d in _DIGITS if bound < 10**d), 0)
+        decimal *= digits
+        if not digits or digits * (p - 1) > 255:
+            decimal = karatsuba  # the residue decode needs one byte a slot
+    if min(karatsuba, decimal) + high - low + 51 > 3 * work:
         return None
+    if decimal < karatsuba:
+        res = _decimal_residues(kept_pairs, low, high - low + 1, digits, p)
+        return tuple(compress(zip(range(low, high + 1), res), res))
     bits = 8 * width
     total = 0
     for a, b in kept_pairs:
@@ -602,6 +643,36 @@ def _kronecker(pairs, cutoff, low: int, high: int, p: int):
     )
 
 
+def _decimal_residues(pairs, low: int, slots: int, digits: int, p: int):
+    """The decimal route's first ``slots`` slot sums mod p, one byte each
+    in a ``bytes``.
+
+    A digit d at position j of a slot adds d * 10^j mod p to the slot's
+    residue: one translation per position maps its digits to these
+    shares, and the positions are added as big integers with one byte a
+    slot.  The caller keeps digits * (p - 1) below 256, so no slot carries
+    into the next; a last translation reduces each byte mod p.
+    """
+    total = Decimal(0)
+    for a, b in pairs:
+        la, lb = a[0][0], b[0][0]
+        da = _pack_decimal(a, la, digits)
+        db = da if b is a else _pack_decimal(b, lb, digits)
+        prod = _EXACT.scaleb(_EXACT.multiply(da, db), digits * (la + lb - low))
+        total = _EXACT.add(total, prod)
+    # least significant digit first; "f" keeps a positive exponent's zeros
+    size = digits * slots
+    rev = format(total, "f").encode()[::-1][:size].ljust(size, b"0")
+    acc = 0
+    for j in range(digits):
+        w = pow(10, j, p)
+        shares = bytes([d * w % p for d in range(10)])
+        table = bytes.maketrans(b"0123456789", shares)
+        acc += int.from_bytes(rev[j::digits].translate(table), "little")
+    reduce = bytes([v % p for v in range(256)])
+    return acc.to_bytes(slots, "little").translate(reduce)
+
+
 def _below(ints, cut: int):
     """The leading terms of sorted ``ints`` with exponent below ``cut``."""
     if ints[-1][0] < cut:
@@ -616,6 +687,21 @@ def _pack(ints, low: int, width: int, fmt: str) -> int:
         for k, c in ints:
             slots[k - low] = c
     return int.from_bytes(buf, _ORDER)
+
+
+def _pack_decimal(ints, low: int, digits: int) -> Decimal:
+    """One Decimal with coefficient c of exponent k in the ``digits`` digits
+    of slot k - ``low``."""
+    # built least significant digit first, then reversed
+    buf = bytearray(b"0") * (digits * (ints[-1][0] - low + 1))
+    for k, c in ints:
+        i = (k - low) * digits
+        if c < 10:
+            buf[i] = 48 + c
+        else:
+            text = str(c).encode()[::-1]
+            buf[i : i + len(text)] = text
+    return Decimal(buf[::-1].decode())
 
 
 def min_value(a: GroupValue, b: GroupValue) -> GroupValue:
@@ -633,9 +719,9 @@ def dot(xs: Sequence[Series], ys: Sequence[Series]) -> Series:
     One pass over the common denominator, cut at the least product
     precision, so no product or partial sum is built as a series: where
     the exponents are dense, the pair products are summed as big integers
-    at one base and decoded once (Kronecker substitution); elsewhere every
-    pair's terms go into one accumulator (``_convolve``).  Relies on the
-    operands' invariants, as ``*`` does.
+    or decimals at one base and decoded once (Kronecker substitution);
+    elsewhere every pair's terms go into one accumulator (``_convolve``).
+    Relies on the operands' invariants, as ``*`` does.
     """
     p = xs[0].p
     pairs = []

@@ -171,16 +171,20 @@ def rel_degree_general(
         return Fixed(gammas[0])
     beta = gammas[m] + m * rd.beta
     # the law holds once gamma is past the minimal polynomial's envelope
-    # threshold and the digit family's order threshold
+    # threshold and the digit family's order threshold, from the first
+    # approximant at which every digit takes the value the type fixes
     _, _, threshold = envelope_law(list(rd.taylor_intercepts), A.distance())
     above = max(threshold, order.beta)
     pts = []
+    settled = False
     for n in A.tail():
-        gamma = A.gamma(n)
-        if not gamma > above:
-            continue
+        c = A.approximants[n]
         try:
-            pts.append((gamma, g(A.approximants[n]).val()))
+            settled = settled or all(
+                d.is_zero or d(c).val() == v for d, v in zip(digits, gammas)
+            )
+            if settled and A.gamma(n) > above:
+                pts.append((A.gamma(n), g(c).val()))
         except IndeterminateValuation:
             continue
     _check_tail_law(

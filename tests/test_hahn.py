@@ -376,7 +376,8 @@ def ref_mul(p, a, b):
     out = {}
     for ea, ca in ta.items():
         for eb, cb in tb.items():
-            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+            e = ea + eb
+            out[e] = out.get(e, 0) + ca * cb
     return ref_keep(p, out, prec)
 
 
@@ -516,12 +517,14 @@ def test_public_constructor_converts_without_normalising():
         s.p = 5
 
 
-# --- the two convolution routes of * and dot -------------------------------
+# --- the three convolution routes of * and dot -----------------------------
 #
 # ``_convolve`` multiplies pairwise or by Kronecker substitution, which packs
-# each operand with ``_pack``.  Emptying ``_SLOTS`` leaves no slot width, so
-# every call takes the pairwise route: the reference the Kronecker route
-# must match in ``ints``, ``den`` and ``precision``.
+# each operand into an ``int`` with ``_pack`` or, for long products, into a
+# ``Decimal`` (``_decimal_residues``).  Emptying ``_SLOTS`` leaves no slot
+# width, so every call takes the pairwise route: the reference both
+# Kronecker routes must match in ``ints``, ``den`` and ``precision``.
+# Emptying ``_DIGITS`` leaves the integer route in place of the decimal one.
 
 
 @pytest.fixture
@@ -541,6 +544,12 @@ def packed_widths(monkeypatch):
 def pairwise(monkeypatch, f, *args):
     with monkeypatch.context() as m:
         m.setattr(hahn, "_SLOTS", ())
+        return f(*args)
+
+
+def int_route(monkeypatch, f, *args):
+    with monkeypatch.context() as m:
+        m.setattr(hahn, "_DIGITS", ())
         return f(*args)
 
 
@@ -685,3 +694,87 @@ def test_sparse_exponents_take_the_pairwise_route(packed_widths):
     prod = a * a
     assert packed_widths == []
     assert_matches(3, prod, ref_mul(3, ref_of(a), ref_of(a)))
+
+
+@pytest.fixture
+def decimal_digits(monkeypatch):
+    """The digits per slot of every decimal-route call."""
+    digits = []
+    residues = hahn._decimal_residues
+
+    def spy(pairs, low, slots, d, p):
+        digits.append(d)
+        return residues(pairs, low, slots, d, p)
+
+    monkeypatch.setattr(hahn, "_decimal_residues", spy)
+    return digits
+
+
+def gapped_operand(rng, p, n, step, den, start, exact):
+    """n terms over (1/den)Z from ``start``, in steps of 1 to ``step``
+    slots; a truncated operand is known up to a precision past its last
+    term, so a product's cutoff falls among its slots."""
+    ks = [start]
+    for _ in range(n - 1):
+        ks.append(ks[-1] + rng.randint(1, step))
+    terms = [(Fraction(k, den), rng.randint(1, p - 1)) for k in ks]
+    span = ks[-1] - ks[0]
+    prec = INF if exact else Fraction(ks[-1] + rng.randint(span // 2, span), den)
+    return Series.make(p, terms, prec)
+
+
+# (terms, step) per prime: long and sparse enough for the decimal route
+DECIMAL_SHAPES = {2: (270, 50), 3: (160, 60), 7: (130, 90)}
+
+
+def test_decimal_route_matches_the_other_routes_randomized(
+    monkeypatch, decimal_digits
+):
+    rng = random.Random(1313)
+    for p, (n, step) in DECIMAL_SHAPES.items():
+        for exact in (True, False):
+            den = rng.choice([1, 2, 3])
+            xs, ys = [], []
+            for _ in range(2):  # pairs at different offsets
+                for out in (xs, ys):
+                    out.append(gapped_operand(
+                        rng, p, rng.randint(n - 8, n + 8), step, den,
+                        rng.randint(-30, 30), exact or rng.random() < 0.5,
+                    ))
+            before = len(decimal_digits)
+            prod = xs[0] * ys[0]
+            got = dot(xs, ys)
+            assert len(decimal_digits) == before + 2
+            for route in (int_route, pairwise):
+                assert_same_representation(
+                    prod, route(monkeypatch, xs[0].__mul__, ys[0])
+                )
+                assert_same_representation(got, route(monkeypatch, dot, xs, ys))
+            assert got == prod + xs[1] * ys[1]
+            if exact:  # the Fraction reference takes most of the time
+                ref = ref_mul(p, ref_of(xs[0]), ref_of(ys[0]))
+                assert (prod.terms, prod.precision) == ref_series(p, ref)
+    assert set(decimal_digits) == {3, 4}
+
+
+def test_decimal_slots_hold_the_sum_over_its_pairs(decimal_digits):
+    # every tenth exponent: each product's coefficient at t^5990 (600) has
+    # 3 digits, their sum 4
+    a = Series.make(2, [(10 * k, 1) for k in range(600)])
+    b = Series.make(2, [(10 * k, 1) for k in range(601)])
+    got = dot([a, a], [a, b])
+    assert decimal_digits == [4]
+    assert got == a * a + a * b
+
+
+def test_decimal_route_needs_digit_residues_below_a_byte(
+    monkeypatch, decimal_digits
+):
+    # 8 digits a slot at p = 251: the residues of a slot's digits could sum
+    # past a byte, so this long product, which the decimal route's cost
+    # estimate would win, takes another route
+    rng = random.Random(251)
+    a, b = (gapped_operand(rng, 251, 200, 90, 1, 0, True) for _ in range(2))
+    prod = a * b
+    assert decimal_digits == []
+    assert_same_representation(prod, pairwise(monkeypatch, a.__mul__, b))

@@ -1,7 +1,9 @@
-"""Source hygiene: every name a library module imports is used in it, and
-every private function or method is referenced somewhere in the library."""
+"""Source hygiene: every name a library module imports is used in it, every
+module it imports is in the standard library, and every private function
+or method is referenced somewhere in the library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,43 @@ def test_unused_import_check_flags_what_it_should():
         "    return os.sep\n"
     )
     assert unused_imports(source) == [("regex", 2), ("SubfieldPredicate", 3)]
+
+
+def non_stdlib_imports(source):
+    """(module, line) for each absolute import outside the standard
+    library; relative imports are the package's own."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out += [
+            (name, node.lineno)
+            for name in names
+            if name.split(".")[0] not in sys.stdlib_module_names
+        ]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    # pyproject.toml declares no dependencies
+    assert non_stdlib_imports(path.read_text()) == []
+
+
+def test_stdlib_import_check_flags_what_it_should():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, numpy as np\n"
+        "from decimal import Decimal\n"
+        "from .hahn import Series\n"
+        "from scipy.linalg import solve\n"
+        "import xml.dom\n"
+    )
+    assert non_stdlib_imports(source) == [("numpy", 2), ("scipy.linalg", 5)]
 
 
 def unreferenced_private_functions(sources):

@@ -135,6 +135,24 @@ def test_rel_degree_general_checks_only_points_past_the_thresholds():
     )
 
 
+def test_rel_degree_general_starts_where_every_digit_is_fixed():
+    # g = X^2 * f has the one digit X^2, whose value the type fixes at
+    # -2/3; at c_0 = 0 the digit vanishes, so g(c_0) = 0 lies off the law,
+    # though gamma_0 = -1/3 is past both thresholds; checking it raised
+    # InternalInconsistency
+    p = 3
+    A = replace(theta_type(p), tail_depth=8)
+    f = theta_minpoly(p)
+    X = ValPoly.X(p)
+    assert A.approximants[0].is_exact_zero
+    assert A.fixes_value(X * X) == Fixed(Fraction(-2, 3))
+    res = rel_degree_general(A, X * X * f, f)
+    assert res == NotFixedLaw(1, 3, Fraction(-2, 3))
+    for n in A.tail()[1:]:
+        c = A.approximants[n]
+        assert (X * X * f)(c).val() == res.beta + res.m * res.h * A.gamma(n)
+
+
 def test_h_upper_bound():
     p = 3
     # unique minimum coefficient value at index p
