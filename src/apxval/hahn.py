@@ -19,8 +19,9 @@ into one integer with a coefficient per fixed-width byte slot, or, for long
 products over small primes, into one ``Decimal`` with a coefficient per
 slot of a few decimal digits, which libmpdec multiplies by a
 number-theoretic transform.  Elsewhere, and where a slot would need more
-than 8 bytes, the terms are multiplied pair by pair.  One fixed cost rule,
-stated at ``_kronecker``, picks the route; all three give the same series.
+than 8 bytes, the terms are multiplied pair by pair.  Both reach the routes
+through ``_convolve`` alone, where one fixed cost rule, stated at
+``_kronecker``, picks the route; all three give the same series.
 """
 
 from __future__ import annotations
@@ -315,10 +316,9 @@ class Series:
         return self + (-other)
 
     def __mul__(self, other: "Series") -> "Series":
-        """Integer convolution truncated at ``_mul_precision``: by Kronecker
-        substitution where the exponents are dense (``_kronecker``), pair
-        by pair elsewhere (``_pairwise``).  A one-term operand shifts and
-        scales the other's terms instead.
+        """Integer convolution truncated at ``_mul_precision``, by
+        ``_convolve``, which picks the route as it does for ``dot``.  A
+        one-term operand shifts and scales the other's terms instead.
 
         Relies on each operand's invariants: the loops stop at the first
         product past the cutoff.
@@ -343,17 +343,7 @@ class Series:
                 p, den, tuple([(k + e, ck * ce % p) for k, ck in kept]), prec
             )
         cutoff = None if prec is INF else _ceil_scaled(prec, den)
-        high = a[-1][0] + b[-1][0]
-        if cutoff is not None and high >= cutoff:
-            high = cutoff - 1
-        pairs = ((a, b),)
-        low, work = a[0][0] + b[0][0], len(a) * len(b)
-        ints = None
-        if high - low + 51 <= 3 * work:  # else too sparse for _kronecker
-            ints = _kronecker(pairs, cutoff, low, high, work, p)
-        if ints is None:
-            ints = _pairwise(pairs, cutoff, p)
-        return _from_ints(p, den, ints, prec)
+        return _from_ints(p, den, _convolve(((a, b),), cutoff, p), prec)
 
     def _mul_precision(self, other: "Series") -> GroupValue:
         """min(v(a) + prec(b), v(b) + prec(a)) over the truncated operands,
@@ -503,7 +493,8 @@ def _convolve(pairs, cutoff, p: int) -> tuple[tuple[int, int], ...]:
     """The reduced, sorted terms k < ``cutoff`` (every k when it is None)
     of sum a * b over ``pairs`` of integer term sequences on one
     denominator, each with terms: by Kronecker substitution where the
-    exponents are dense (``_kronecker``), pair by pair elsewhere."""
+    exponents are dense (``_kronecker``), pair by pair elsewhere.  The one
+    place the product route is chosen, for ``*`` and ``dot`` alike."""
     if not pairs:
         return ()
     work = 0
@@ -555,8 +546,8 @@ def _kronecker(pairs, cutoff, low: int, high: int, work: int, p: int):
     """``_convolve``'s dense routes, or None where the pairwise loop is
     estimated cheaper or a slot would need more than 8 bytes.  ``low`` and
     ``high`` bound the exponents kept, ``work`` is the number of term
-    products; callers send only products with high - low + 51 <= 3 *
-    work, the least a dense route can cost (see below).
+    products; ``_convolve`` sends only products with high - low + 51 <=
+    3 * work, the least a dense route can cost (see below).
 
     Terms that cannot land below the cutoff are dropped first.  Each
     operand becomes one number with its coefficient at slot (exponent - its

@@ -9,8 +9,9 @@ Grammar (whitespace insignificant):
     rational := '-'? int ('/' int)?
 
     poly   := pterm ('+' pterm)*
-    pterm  := '(' series ')' ('*')? 'X' ('^' int)?  |  'X' ('^' int)?
+    pterm  := '(' series ')' ('*')? 'X' ('^' deg)?  |  'X' ('^' deg)?
             | '(' series ')'  |  coeff
+    deg    := int >= 0
 
 Example: "t^(-1/2) + 2*t^(1/3) + O(t^2)".  The printer round-trips exactly.
 """
@@ -175,7 +176,13 @@ def parse_poly(text: str, p: int):
             have_coeff = True
             sc.eat("*")
         if sc.eat("X"):
-            deg = sc.integer() if sc.eat("^") else 1
+            deg = 1
+            if sc.eat("^"):
+                sc.skip_ws()
+                at = sc.pos
+                deg = sc.integer()
+                if deg < 0:
+                    raise ParseError(text, at, "negative degree")
         else:
             if not have_coeff:
                 raise ParseError(text, sc.pos, "expected a term")

@@ -42,6 +42,8 @@ class RelDegree:
     h: int
     beta: GroupValue
     taylor_intercepts: tuple[GroupValue, ...]
+    # the intercept family's order threshold: the law holds for gamma past it
+    threshold: Fraction
     # tail points the sampled route checked the law on; 0 when it found
     # fewer than two, and (h, beta) rests on the envelope alone
     sampled_points: int
@@ -125,13 +127,13 @@ def rel_degree(A: ApproxType, f: ValPoly) -> RelDegree:
         h_s, beta_s, points = sampled_law(A, f, above=threshold)
     except InsufficientPrecision:
         # nothing to sample; the envelope answers alone
-        return RelDegree(h, beta, tuple(betas), 0)
+        return RelDegree(h, beta, tuple(betas), threshold, 0)
     if (h_s, beta_s) != (h, beta):
         raise InternalInconsistency(
             f"envelope gives (h={h}, beta={beta}) but the sampled tail law "
             f"gives (h={h_s}, beta={beta_s})"
         )
-    return RelDegree(h, beta, tuple(betas), points)
+    return RelDegree(h, beta, tuple(betas), threshold, points)
 
 
 def rel_degree_general(
@@ -173,8 +175,7 @@ def rel_degree_general(
     # the law holds once gamma is past the minimal polynomial's envelope
     # threshold and the digit family's order threshold, from the first
     # approximant at which every digit takes the value the type fixes
-    _, _, threshold = envelope_law(list(rd.taylor_intercepts), A.distance())
-    above = max(threshold, order.beta)
+    above = max(rd.threshold, order.beta)
     pts = []
     settled = False
     for n in A.tail():
@@ -237,11 +238,8 @@ def approx_coefficient(A: ApproxType, f: ValPoly) -> tuple[Series, RelDegree]:
         if _certify_coefficient(samples, cand):
             # the defining identity v(f(x) - f(c_n)) = v(d * (x - c_n)^h),
             # on the tail points past the threshold where the law holds
-            _, _, threshold = envelope_law(
-                list(rd.taylor_intercepts), A.distance()
-            )
             _check_tail_law(
-                _tail_values(A, f, above=threshold), rd.h, cand.val(),
+                _tail_values(A, f, above=rd.threshold), rd.h, cand.val(),
                 "approximation coefficient fails the defining value identity",
             )
             return cand, rd
@@ -321,9 +319,7 @@ def check_multiplicativity(A: ApproxType, f: ValPoly, g: ValPoly) -> bool:
     rd_g = rel_degree(B, g)
     # the composed law holds once gamma is past f's threshold and the image
     # value beta_f + h_f * gamma is past g's threshold on B
-    _, _, thr_f = envelope_law(list(rd_f.taylor_intercepts), A.distance())
-    _, _, thr_g = envelope_law(list(rd_g.taylor_intercepts), B.distance())
-    above = max(thr_f, (thr_g - rd_f.beta) / rd_f.h)
+    above = max(rd_f.threshold, (rd_g.threshold - rd_f.beta) / rd_f.h)
     h_left, _, _ = sampled_law(A, g.compose(f), above=above)
     return h_left == rd_f.h * rd_g.h
 

@@ -6,15 +6,15 @@ sums over the powers of the expansion point, f-adic digit expansion, and
 the p-adic binomial valuation fact used to bound relative approximation
 degrees.
 
-A polynomial evaluates two ways.  ``f(x)`` is Horner's scheme: each step
-multiplies the whole accumulator by x, a full convolution.  ``power_sum``
-sums a_j * x^j in one ``hahn.dot`` pass over a list of powers of x that
-the caller keeps across polynomials, so with monomial coefficients nearly
-every product is a one-term shift and no partial sum is built.  Its
-powers come from the halving split x^k = x^ceil(k/2) * x^floor(k/2); the
-Taylor tables build theirs as c^k = c^(k-1) * c, so the two law routes
-that rest on them share neither a cache nor an algorithm.  Both evaluations give the same series,
-precision included; Horner stays the reference in the tests.
+A polynomial evaluates one way: ``power_sum`` sums a_j * x^j in one
+``hahn.dot`` pass over a list of powers of x, so with monomial
+coefficients nearly every product is a one-term shift and no partial sum
+is built.  ``f(x)`` is ``power_sum`` over a fresh list; the sampled law
+route passes a list the caller keeps across polynomials.  Its powers come
+from the halving split x^k = x^ceil(k/2) * x^floor(k/2); the Taylor tables
+build theirs as c^k = c^(k-1) * c, so the two law routes that rest on them
+share neither a cache nor an algorithm.  Horner's scheme is only the
+reference in the tests, and gives the same series, precision included.
 """
 
 from __future__ import annotations
@@ -99,11 +99,8 @@ class ValPoly:
         return ValPoly.make(self.p, (c * a for a in self.coeffs))
 
     def __call__(self, x: Series) -> Series:
-        # Horner evaluation; power_sum is the route over cached powers
-        acc = Series.zero(self.p)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """f(x): ``power_sum`` over powers of x built for this call."""
+        return power_sum(self, x, [])
 
     def compose(self, other: "ValPoly") -> "ValPoly":
         acc = ValPoly.zero(self.p)
@@ -137,7 +134,7 @@ def power_sum(f: ValPoly, x: Series, powers: list[Series]) -> Series:
     x, extended in place as far as deg f needs; each x^k is
     x^ceil(k/2) * x^floor(k/2), so the result never depends on what the
     list already held.  The sum is one ``dot``: a zero coefficient that is
-    truncated still bounds the precision, as in Horner.
+    truncated still bounds the precision through its product with x^j.
     """
     coeffs = f.coeffs
     if not coeffs:

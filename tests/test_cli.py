@@ -44,6 +44,13 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def test_negative_poly_degree_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "--p", "3", "eval", "t", "--poly", "X^-1")
+    assert code == 2
+    assert out == ""
+    assert "parse error: at position 2: negative degree" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

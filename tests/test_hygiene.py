@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used in it, every
-module it imports is in the standard library, and every private function
-or method is referenced somewhere in the library."""
+module it imports is in the standard library, every private function
+or method is referenced somewhere in the library, and the product routes
+are chosen in one place."""
 
 import ast
 import sys
@@ -130,4 +131,53 @@ def test_unreferenced_private_check_flags_what_it_should():
     }
     assert unreferenced_private_functions(sources) == [
         ("a.py", "_dead", 1), ("a.py", "_unused", 10),
+    ]
+
+
+ROUTES = ("_kronecker", "_pairwise")
+
+
+def route_references(source):
+    """(route, enclosing function, line) for each read of a product route
+    in ``source``, as a name or an attribute; the enclosing function is the
+    innermost one, None at module level."""
+    out = []
+
+    def visit(node, caller):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id in ROUTES:
+                out.append((child.id, caller, child.lineno))
+            elif isinstance(child, ast.Attribute) and child.attr in ROUTES:
+                out.append((child.attr, caller, child.lineno))
+            visit(child, caller)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_product_routes_are_chosen_only_in_convolve():
+    # ``*`` and ``dot`` reach the routes through ``_convolve``'s one rule
+    refs = [
+        (name, caller)
+        for path in sorted(SRC.glob("*.py"))
+        for name, caller, _ in route_references(path.read_text())
+    ]
+    assert sorted(refs) == [("_kronecker", "_convolve"), ("_pairwise", "_convolve")]
+
+
+def test_route_reference_check_flags_what_it_should():
+    source = (
+        "def _convolve(pairs):\n"
+        "    return _kronecker(pairs) or _pairwise(pairs)\n"
+        "class Series:\n"
+        "    def __mul__(self, other):\n"
+        "        return _pairwise(((self, other),))\n"
+        "fast = hahn._kronecker\n"
+    )
+    assert route_references(source) == [
+        ("_kronecker", "_convolve", 2), ("_pairwise", "_convolve", 2),
+        ("_pairwise", "__mul__", 5), ("_kronecker", None, 6),
     ]

@@ -103,6 +103,15 @@ def test_parse_poly_drops_zero_leading_coefficients():
     assert parse_poly(format_poly(f), 3) == f
 
 
+@pytest.mark.parametrize(
+    "text, pos", [("X^-1", 2), ("X^-1 + X", 2), ("X + (t)*X^ -2", 11)]
+)
+def test_parse_poly_rejects_negative_degrees(text, pos):
+    with pytest.raises(ParseError, match="negative degree") as exc:
+        parse_poly(text, 3)
+    assert exc.value.pos == pos
+
+
 def test_format_zero_poly_round_trips():
     z = ValPoly.zero(3)
     assert format_poly(z) == "(0)"

@@ -10,6 +10,7 @@ from apxval.errors import (
     PreconditionError,
     StabilizationError,
 )
+from apxval.envelope import envelope_law
 from apxval.hahn import Series, p_power_denominators
 from apxval.ordval import Cut, scale_cut, shift_cut
 from apxval.parsing import parse_poly
@@ -396,6 +397,10 @@ def test_rel_degree_says_when_the_envelope_answers_alone():
         alone = rel_degree(shallow, theta_minpoly(p))
         assert alone.sampled_points == 0
         assert (alone.h, alone.beta) == (deep.h, deep.beta)
+        # both answers carry the envelope's order threshold
+        for rd, A in ((deep, theta_type(p)), (alone, shallow)):
+            law = envelope_law(list(rd.taylor_intercepts), A.distance())
+            assert rd.threshold == law[2]
 
 
 # --- the sampled route's power cache -----------------------------------------

@@ -225,8 +225,18 @@ def test_shared_powers_match_fresh_tables():
             assert powers[k] == powers[k - 1] * c
 
 
+def horner(f, x):
+    """f(x) by Horner's scheme, the reference kept apart from the library's
+    one evaluator: each step multiplies the whole accumulator by x."""
+    acc = Series.zero(f.p)
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def test_power_sum_equals_horner_randomized():
-    # Horner is the reference: equal terms and equal precision
+    # Horner is the reference: equal terms and equal precision, for
+    # power_sum over a shared list, over a fresh one, and for f(x)
     rng = random.Random(407)
     for _ in range(300):
         p = rng.choice([2, 3, 5])
@@ -239,10 +249,13 @@ def test_power_sum_equals_horner_randomized():
             if deg:
                 coeffs[rng.randrange(deg)] = Series.zero(p)
             f = ValPoly(p, tuple(coeffs))
-            assert power_sum(f, x, powers) == f(x)
-            assert power_sum(f, x, []) == f(x)
+            ref = horner(f, x)
+            assert power_sum(f, x, powers) == ref
+            assert power_sum(f, x, []) == ref
+            assert f(x) == ref
         assert len(powers) == 12 and powers[0] is x
     assert power_sum(ValPoly.zero(3), Series.t(3), []) == Series.zero(3)
+    assert ValPoly.zero(3)(Series.t(3)) == Series.zero(3)
 
 
 def test_f_adic_by_construction():
