@@ -181,25 +181,18 @@ class ApproxType:
     def _poly_values(self, g: ValPoly) -> list[GroupValue]:
         return [g(c).val() for c in self.approximants]
 
-    def _stabilized(self, values: list[GroupValue]) -> Optional[GroupValue]:
-        w = min(self.window, len(values))
-        if w == 0:
-            return None
-        tail = values[-w:]
-        if all(v == tail[0] for v in tail):
-            return tail[0]
-        return None
-
     def _fixed_value(
         self, g: ValPoly, values: list[GroupValue]
     ) -> Optional[GroupValue]:
         """The value the type fixes for g, given v(g(c_n)) for every
-        approximant: the stabilized window value, unless a visible
-        v(g(target)) differs from it; None when the window does not
-        stabilize."""
-        stab = self._stabilized(values)
-        if stab is None:
+        approximant: the value constant over the last ``window`` of them,
+        unless a visible v(g(target)) differs from it; None when the
+        window is not constant.  The type's one fixed-value rule."""
+        w = min(self.window, len(values))
+        tail = values[-w:]
+        if w == 0 or any(v != tail[0] for v in tail):
             return None
+        stab = tail[0]
         try:
             vx = g(self.target).val()
         except IndeterminateValuation:
@@ -265,8 +258,9 @@ class ApproxType:
         return betas
 
     def kaplansky_extend(self, g: ValPoly) -> GroupValue:
-        """The extension of v to g(x) for a transcendental type: the
-        stabilized value of v(g(c_n))."""
+        """The extension of v to g(x) for a transcendental type: the value
+        the type fixes for g (``_fixed_value``), which ``fixes_value``
+        reports too."""
         if not self.transcendental:
             raise PreconditionError(
                 "value extension needs the transcendental marker"
@@ -275,8 +269,7 @@ class ApproxType:
             raise PreconditionError("the zero polynomial has no value")
         if g.degree() == 0:
             return g.coeffs[0].val()
-        values = self._poly_values(g)
-        stab = self._stabilized(values)
+        stab = self._fixed_value(g, self._poly_values(g))
         if stab is None:
             raise MarkerViolation(
                 f"value of degree-{g.degree()} polynomial not fixed at "

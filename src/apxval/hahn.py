@@ -19,9 +19,13 @@ into one integer with a coefficient per fixed-width byte slot, or, for long
 products over small primes, into one ``Decimal`` with a coefficient per
 slot of a few decimal digits, which libmpdec multiplies by a
 number-theoretic transform.  Elsewhere, and where a slot would need more
-than 8 bytes, the terms are multiplied pair by pair.  Both reach the routes
+than 8 bytes, the terms are multiplied pair by pair.  A product of two
+multi-term series is ``dot`` of one pair, and ``dot`` reaches the routes
 through ``_convolve`` alone, where one fixed cost rule, stated at
 ``_kronecker``, picks the route; all three give the same series.
+
+A precision trims a sorted term tuple in one place, ``_below``, at the
+integer cut ``_cutoff`` gives.
 """
 
 from __future__ import annotations
@@ -96,16 +100,13 @@ def all_rationals() -> SubfieldPredicate:
     return SubfieldPredicate("Q", lambda e: True)
 
 
-PREDICATES: dict[str, Callable[..., SubfieldPredicate]] = {
-    "Z": lambda p: integers_predicate(),
-    "Z[1/p]": lambda p: p_power_denominators(p),
-    "Q": lambda p: all_rationals(),
-}
-
-
 def resolve_predicate(name: str, p: int) -> SubfieldPredicate:
-    if name in PREDICATES:
-        return PREDICATES[name](p)
+    if name == "Z":
+        return integers_predicate()
+    if name == "Z[1/p]":
+        return p_power_denominators(p)
+    if name == "Q":
+        return all_rationals()
     if name.startswith("div"):
         return denominators_dividing(int(name[3:]))
     raise PreconditionError(f"unknown subfield predicate {name!r}")
@@ -160,14 +161,8 @@ class Series:
         for e, c in pairs:
             k = e.numerator * (den // e.denominator)
             acc[k] = acc.get(k, 0) + c
-        cut = None if precision is INF else _ceil_scaled(precision, den)
-        kept = []
-        for k in sorted(acc):
-            if cut is not None and k >= cut:
-                break
-            c = acc[k] % p
-            if c:
-                kept.append((k, c))
+        kept = [(k, c) for k in sorted(acc) if (c := acc[k] % p)]
+        kept = _below(kept, _cutoff(precision, den))
         return _from_ints(p, den, tuple(kept), precision)
 
     @staticmethod
@@ -297,11 +292,7 @@ class Series:
                 j += 1
         out.extend(a[i:])
         out.extend(b[j:])
-        if prec is not INF and out:
-            cut = _ceil_scaled(prec, den)
-            if out[-1][0] >= cut:
-                del out[bisect_left(out, cut, key=_EXP):]
-        return _from_ints(p, den, tuple(out), prec)
+        return _from_ints(p, den, tuple(_below(out, _cutoff(prec, den))), prec)
 
     def __neg__(self) -> "Series":
         p = self.p
@@ -316,34 +307,29 @@ class Series:
         return self + (-other)
 
     def __mul__(self, other: "Series") -> "Series":
-        """Integer convolution truncated at ``_mul_precision``, by
-        ``_convolve``, which picks the route as it does for ``dot``.  A
-        one-term operand shifts and scales the other's terms instead.
+        """The product truncated at ``_mul_precision``: ``dot`` of the one
+        pair, so ``_convolve`` picks the route.  A one-term operand shifts
+        and scales the other's terms instead.
 
-        Relies on each operand's invariants: the loops stop at the first
-        product past the cutoff.
+        Relies on each operand's invariants, as ``dot`` does.
         """
         self._require_same_p(other)
+        if len(self.ints) > 1 and len(other.ints) > 1:
+            return dot((self,), (other,))
         p = self.p
         prec = self._mul_precision(other)
         if not self.ints or not other.ints:
             return _from_ints(p, 1, (), prec)
+        # one term: shift and scale the other operand, no sort needed
         den, a, b = _common(self, other)
-        if len(a) == 1 or len(b) == 1:
-            # one term: shift and scale the other operand, no sort needed
-            if len(a) != 1:
-                a, b = b, a
-            ((e, ce),) = a
-            kept = b
-            if prec is not INF:
-                cut = _ceil_scaled(prec, den) - e
-                if b[-1][0] >= cut:
-                    kept = b[: bisect_left(b, cut, key=_EXP)]
-            return _from_ints(
-                p, den, tuple([(k + e, ck * ce % p) for k, ck in kept]), prec
-            )
-        cutoff = None if prec is INF else _ceil_scaled(prec, den)
-        return _from_ints(p, den, _convolve(((a, b),), cutoff, p), prec)
+        if len(a) != 1:
+            a, b = b, a
+        ((e, ce),) = a
+        cut = _cutoff(prec, den)
+        kept = _below(b, None if cut is None else cut - e)
+        return _from_ints(
+            p, den, tuple([(k + e, ck * ce % p) for k, ck in kept]), prec
+        )
 
     def _mul_precision(self, other: "Series") -> GroupValue:
         """min(v(a) + prec(b), v(b) + prec(a)) over the truncated operands,
@@ -406,12 +392,8 @@ class Series:
 
     def truncate(self, precision: GroupValue) -> "Series":
         prec = min_value(self.precision, precision)
-        ints = self.ints
-        if prec is not INF and ints:
-            cut = _ceil_scaled(prec, self.den)
-            if ints[-1][0] >= cut:
-                ints = ints[: bisect_left(ints, cut, key=_EXP)]
-        return _from_ints(self.p, self.den, ints, prec)
+        den = self.den
+        return _from_ints(self.p, den, _below(self.ints, _cutoff(prec, den)), prec)
 
     def residue(self) -> int:
         if self.ints and self.ints[0][0] < 0:
@@ -446,10 +428,13 @@ def _from_ints(
     return s
 
 
-def _ceil_scaled(v, den: int) -> int:
-    """ceil(v * den) for a rational v: an integer k is >= v * den exactly
-    when it is >= this."""
-    return -(-v.numerator * den // v.denominator)
+def _cutoff(prec: GroupValue, den: int) -> int | None:
+    """ceil(prec * den), the least integer exponent over ``den`` that the
+    precision hides: k / den < prec exactly when k is below it.  None for
+    INF, where every exponent is kept."""
+    if prec is INF:
+        return None
+    return -(-prec.numerator * den // prec.denominator)
 
 
 def _low_plus(s: Series, prec) -> tuple[int, int]:
@@ -556,7 +541,9 @@ def _kronecker(pairs, cutoff, low: int, high: int, work: int, p: int):
     sum in slot (exponent - ``low``), read up to ``high``.  The integer
     route packs byte slots into an ``int``; the decimal route packs slots
     of ``digits`` decimal digits into a ``Decimal``, whose long products
-    libmpdec forms by a number-theoretic transform.
+    libmpdec forms by a number-theoretic transform.  Either route reduces
+    its slot sums to one residue mod p per slot, and one decode keeps the
+    nonzero ones.
 
     The route rule compares cost estimates in units of 0.1 us, fitted on
     CPython 3.11, x86-64: the pairwise loop costs about 3 per term product
@@ -615,23 +602,19 @@ def _kronecker(pairs, cutoff, low: int, high: int, work: int, p: int):
         return None
     if decimal < karatsuba:
         res = _decimal_residues(kept_pairs, low, high - low + 1, digits, p)
-        return tuple(compress(zip(range(low, high + 1), res), res))
-    bits = 8 * width
-    total = 0
-    for a, b in kept_pairs:
-        la, lb = a[0][0], b[0][0]
-        ia = _pack(a, la, width, fmt)
-        ib = ia if b is a else _pack(b, lb, width, fmt)
-        total += (ia * ib) << (bits * (la + lb - low))
-    size = -(-total.bit_length() // bits)
-    sums = memoryview(total.to_bytes(width * size, _ORDER)).cast(fmt)
-    return tuple(
-        [
-            (k, r)
-            for k, c in enumerate(sums[: high - low + 1], low)
-            if c and (r := c % p)
-        ]
-    )
+    else:
+        bits = 8 * width
+        total = 0
+        for a, b in kept_pairs:
+            la, lb = a[0][0], b[0][0]
+            ia = _pack(a, la, width, fmt)
+            ib = ia if b is a else _pack(b, lb, width, fmt)
+            total += (ia * ib) << (bits * (la + lb - low))
+        size = -(-total.bit_length() // bits)
+        sums = memoryview(total.to_bytes(width * size, _ORDER)).cast(fmt)
+        res = [c % p for c in sums[: high - low + 1]]
+    # one residue per slot from ``low`` on: keep the nonzero ones
+    return tuple(compress(zip(range(low, high + 1), res), res))
 
 
 def _decimal_residues(pairs, low: int, slots: int, digits: int, p: int):
@@ -664,9 +647,10 @@ def _decimal_residues(pairs, low: int, slots: int, digits: int, p: int):
     return acc.to_bytes(slots, "little").translate(reduce)
 
 
-def _below(ints, cut: int):
-    """The leading terms of sorted ``ints`` with exponent below ``cut``."""
-    if ints[-1][0] < cut:
+def _below(ints, cut: int | None):
+    """The leading terms of sorted ``ints`` with exponent below ``cut``:
+    every term when it is None.  The one place a precision trims terms."""
+    if cut is None or not ints or ints[-1][0] < cut:
         return ints
     return ints[: bisect_left(ints, cut, key=_EXP)]
 
@@ -712,7 +696,9 @@ def dot(xs: Sequence[Series], ys: Sequence[Series]) -> Series:
     the exponents are dense, the pair products are summed as big integers
     or decimals at one base and decoded once (Kronecker substitution);
     elsewhere every pair's terms go into one accumulator (``_convolve``).
-    Relies on the operands' invariants, as ``*`` does.
+    ``*`` of two multi-term series is this with one pair.  Relies on the
+    operands' invariants: the loops stop at the first product past the
+    cutoff.
     """
     p = xs[0].p
     pairs = []
@@ -725,7 +711,7 @@ def dot(xs: Sequence[Series], ys: Sequence[Series]) -> Series:
         if a.ints and b.ints:
             pairs.append((a, b))
             den = lcm(den, a.den, b.den)
-    cutoff = None if prec is INF else _ceil_scaled(prec, den)
+    cutoff = _cutoff(prec, den)
     pairs = [
         (_rescaled(a.ints, den // a.den), _rescaled(b.ints, den // b.den))
         for a, b in pairs
@@ -760,7 +746,7 @@ def invert(a: Series, target_precision: GroupValue) -> Series:
     if u.ints:
         # k * v(u) < rel  <=>  k * ku < ceil(rel * den) for u's integer ku
         ku = u.ints[0][0]
-        cut = _ceil_scaled(rel, u.den)
+        cut = _cutoff(rel, u.den)
         k = 1
         while k * ku < cut:
             term = (term * u).truncate(rel)
@@ -786,9 +772,8 @@ def truncate_to_subfield(
         raise InsufficientPrecision(
             f"alpha {alpha} beyond precision {x.precision}"
         )
-    den, kept = x.den, x.ints
-    if alpha is not INF:
-        kept = kept[: bisect_left(kept, _ceil_scaled(alpha, den), key=_EXP)]
+    den = x.den
+    kept = _below(x.ints, _cutoff(alpha, den))
     for k, _ in kept:
         e = _fraction(k, den)
         if not pred(e):

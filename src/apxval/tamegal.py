@@ -11,7 +11,6 @@ decomposition, and the trace construction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -132,8 +131,14 @@ def crossed_hom_check(
 def valuation_independence_witness(
     G: TameCyclic, sigmas: list[GaloisElem], ds: list[Series]
 ) -> Series:
-    """An element d with v(sum sigma_i(d) d_i) = min v(sigma_i(d) d_i):
-    monomials s^k first, then two-monomial combinations."""
+    """An element d with v(sum sigma_i(d) d_i) = min v(sigma_i(d) d_i),
+    among the monomials s^m, m = 0..n-1.
+
+    One of them always works.  With sigma_i = s -> zeta^(k_i) s, the k_i
+    distinct mod n, the sum for d = s^m has coefficient
+    sum_i zeta^(k_i m) res(d_i) at t^(m/n), its least possible exponent.
+    If that vanished for every m, the Vandermonde matrix in the distinct
+    zeta^(k_i) would send the nonzero vector of residues to 0."""
     if len(sigmas) != len(ds) or not sigmas:
         raise PreconditionError("need matching nonempty sigma/d lists")
     if len({s.k for s in sigmas}) != len(sigmas):
@@ -141,25 +146,14 @@ def valuation_independence_witness(
     for d in ds:
         if d.val() != 0:
             raise PreconditionError("every d_i must have value 0")
-    for cand in _witness_candidates(G):
+    for m in range(G.n):
+        cand = Series.monomial(G.p, Fraction(m, G.n))
         if _witness_works(G, cand, sigmas, ds):
             return cand
     raise InternalInconsistency(
         "witness search exhausted: contradicts valuation independence "
         "of a tame Galois group"
     )
-
-
-def _witness_candidates(G: TameCyclic):
-    p, n = G.p, G.n
-    for k in range(n):
-        yield Series.monomial(p, Fraction(k, n))
-    for a, b in itertools.combinations(range(n), 2):
-        for c1 in range(1, p):
-            for c2 in range(1, p):
-                yield Series.make(
-                    p, [(Fraction(a, n), c1), (Fraction(b, n), c2)]
-                )
 
 
 def _witness_works(

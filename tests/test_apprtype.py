@@ -308,3 +308,31 @@ def test_taylor_intercepts_build_one_table_per_tail_approximant(monkeypatch):
             B.taylor_intercepts(f)
             assert len(seen) == min(len(B.approximants), B.tail_depth)
             assert seen == [B.approximants[n] for n in B.tail()]
+
+
+@pytest.mark.parametrize("window", [1, 2, 4])
+def test_kaplansky_extend_returns_only_the_value_fixes_value_fixes(window):
+    # at window 1 every sequence of v(g(c_n)) is constant over its window,
+    # so only a visible v(g(target)) tells a fixed value from a passing one
+    A = replace(theta_type(2, transcendental=True), window=window)
+    fmin = theta_minpoly(2)  # X^2 + X + t^(-1); extend once gave -1/128
+    assert isinstance(A.fixes_value(fmin), NotFixed)
+    with pytest.raises(MarkerViolation):
+        A.kaplansky_extend(fmin)
+    rng = random.Random(5)
+    refused = 0
+    for p in (2, 3):
+        A = replace(theta_type(p, transcendental=True), window=window)
+        fmin = theta_minpoly(p)
+        for _ in range(12):
+            c = Series.monomial(p, rng.randint(-2, 2), rng.randint(1, p - 1))
+            lin = ValPoly.make(p, [c, Series.one(p)])
+            g = fmin.scale(c) + lin if rng.random() < 0.5 else fmin * lin
+            fixed = A.fixes_value(g)
+            if isinstance(fixed, Fixed):
+                assert A.kaplansky_extend(g) == fixed.value
+            else:
+                refused += 1
+                with pytest.raises(MarkerViolation):
+                    A.kaplansky_extend(g)
+    assert refused > 0

@@ -57,7 +57,7 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def _theta_type_file(tmp_path, p, terms=8):
+def _theta_type_file(tmp_path, p, terms=8, transcendental=False):
     desc = {
         "p": p,
         "target": " + ".join(f"t^(-1/{p**i})" for i in range(1, terms + 1))
@@ -66,6 +66,8 @@ def _theta_type_file(tmp_path, p, terms=8):
         "hint": "(<0)",
         "minpoly": f"X^{p} + ({p - 1})*X + ({p - 1}*t^(-1))",
     }
+    if transcendental:
+        desc["transcendental"] = True
     path = tmp_path / "type.json"
     path.write_text(json.dumps(desc))
     return str(path)
@@ -113,6 +115,55 @@ def test_fixes_subcommand(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"fixed": False, "h": 3, "beta": "0"}
+
+
+@pytest.mark.parametrize(
+    "flags, want",
+    [([], "fixed, value -1/9"), (["--json"], '{"fixed": true, "value": "-1/9"}')],
+)
+def test_fixes_subcommand_fixed_value(capsys, tmp_path, flags, want):
+    path = _theta_type_file(tmp_path, 3, transcendental=True)
+    code, out, _ = run_cli(
+        capsys, "--p", "3", *flags, "fixes", "--type", path,
+        "--poly", "X + (2*t^(-1/3))",
+    )
+    assert (code, out) == (0, want + "\n")
+
+
+def test_extend_subcommand(capsys, tmp_path):
+    path = _theta_type_file(tmp_path, 3, transcendental=True)
+    code, out, _ = run_cli(
+        capsys, "--p", "3", "extend", "--type", path, "--poly", "X + (t^(-1/3))"
+    )
+    assert (code, out) == (0, "-1/3\n")
+
+
+def test_extend_subcommand_refuses_an_unfixed_value(capsys, tmp_path):
+    path = _theta_type_file(tmp_path, 3, transcendental=True)
+    code, out, err = run_cli(
+        capsys, "--p", "3", "extend", "--type", path,
+        "--poly", "X^3 + (2)*X + (2*t^(-1))",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("check failed:")
+
+
+def test_extend_refuses_what_a_one_value_window_does_not_fix(capsys, tmp_path):
+    # every value sequence is constant over a window of one; the type does
+    # not fix v of theta's minimal polynomial, and extend once printed -1/128
+    path = _theta_type_file(tmp_path, 2, transcendental=True)
+    cfg = tmp_path / "session.cfg"
+    cfg.write_text("window = 1\n")
+    poly = ["--poly", "X^2 + X + (t^(-1))"]
+    code, out, err = run_cli(
+        capsys, "--p", "2", "--config", str(cfg), "extend", "--type", path, *poly
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("check failed:")
+    code, out, _ = run_cli(
+        capsys, "--p", "2", "--config", str(cfg), "fixes", "--type", path, *poly
+    )
+    assert (code, out) == (0, "not fixed: v g(c) = 0 + 2*v(x-c)\n")
 
 
 def test_approx_coeff_subcommand(capsys, tmp_path):

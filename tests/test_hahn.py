@@ -727,34 +727,55 @@ def gapped_operand(rng, p, n, step, den, start, exact):
 DECIMAL_SHAPES = {2: (270, 50), 3: (160, 60), 7: (130, 90)}
 
 
+def check_decimal_route(monkeypatch, decimal_digits, rng, p, n, step):
+    """``*`` and ``dot`` of about n-term operands at p, gapped by up to
+    ``step`` slots, exact and truncated: the decimal route runs and matches
+    the integer and pairwise routes.  Returns every operand."""
+    operands = []
+    for exact in (True, False):
+        den = rng.choice([1, 2, 3])
+        xs, ys = [], []
+        for _ in range(2):  # pairs at different offsets
+            for out in (xs, ys):
+                out.append(gapped_operand(
+                    rng, p, rng.randint(n - 8, n + 8), step, den,
+                    rng.randint(-30, 30), exact or rng.random() < 0.5,
+                ))
+        before = len(decimal_digits)
+        prod = xs[0] * ys[0]
+        got = dot(xs, ys)
+        assert len(decimal_digits) == before + 2
+        for route in (int_route, pairwise):
+            assert_same_representation(
+                prod, route(monkeypatch, xs[0].__mul__, ys[0])
+            )
+            assert_same_representation(got, route(monkeypatch, dot, xs, ys))
+        assert got == prod + xs[1] * ys[1]
+        if exact:  # the Fraction reference takes most of the time
+            ref = ref_mul(p, ref_of(xs[0]), ref_of(ys[0]))
+            assert (prod.terms, prod.precision) == ref_series(p, ref)
+        operands += xs + ys
+    return operands
+
+
 def test_decimal_route_matches_the_other_routes_randomized(
     monkeypatch, decimal_digits
 ):
     rng = random.Random(1313)
     for p, (n, step) in DECIMAL_SHAPES.items():
-        for exact in (True, False):
-            den = rng.choice([1, 2, 3])
-            xs, ys = [], []
-            for _ in range(2):  # pairs at different offsets
-                for out in (xs, ys):
-                    out.append(gapped_operand(
-                        rng, p, rng.randint(n - 8, n + 8), step, den,
-                        rng.randint(-30, 30), exact or rng.random() < 0.5,
-                    ))
-            before = len(decimal_digits)
-            prod = xs[0] * ys[0]
-            got = dot(xs, ys)
-            assert len(decimal_digits) == before + 2
-            for route in (int_route, pairwise):
-                assert_same_representation(
-                    prod, route(monkeypatch, xs[0].__mul__, ys[0])
-                )
-                assert_same_representation(got, route(monkeypatch, dot, xs, ys))
-            assert got == prod + xs[1] * ys[1]
-            if exact:  # the Fraction reference takes most of the time
-                ref = ref_mul(p, ref_of(xs[0]), ref_of(ys[0]))
-                assert (prod.terms, prod.precision) == ref_series(p, ref)
+        check_decimal_route(monkeypatch, decimal_digits, rng, p, n, step)
     assert set(decimal_digits) == {3, 4}
+
+
+def test_decimal_route_packs_two_digit_coefficients(monkeypatch, decimal_digits):
+    # at p = 11 and 13 a coefficient can take two of its slot's digits
+    rng = random.Random(1113)
+    for p in (11, 13):
+        operands = check_decimal_route(
+            monkeypatch, decimal_digits, rng, p, 200, 90
+        )
+        assert any(c >= 10 for x in operands for _, c in x.ints)
+    assert set(decimal_digits) == {5}
 
 
 def test_decimal_slots_hold_the_sum_over_its_pairs(decimal_digits):

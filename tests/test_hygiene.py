@@ -1,7 +1,7 @@
 """Source hygiene: every name a library module imports is used in it, every
 module it imports is in the standard library, every private function
-or method is referenced somewhere in the library, and the product routes
-are chosen in one place."""
+or method is referenced somewhere in the library, the product routes
+are chosen in one place, and a precision trims sorted terms in one place."""
 
 import ast
 import sys
@@ -180,4 +180,56 @@ def test_route_reference_check_flags_what_it_should():
     assert route_references(source) == [
         ("_kronecker", "_convolve", 2), ("_pairwise", "_convolve", 2),
         ("_pairwise", "__mul__", 5), ("_kronecker", None, 6),
+    ]
+
+
+def exponent_bisections(source):
+    """(enclosing function, line) for each ``bisect_left(..., key=_EXP)``
+    call in ``source``, by name or attribute; the enclosing function is the
+    innermost one, None at module level."""
+    out = []
+
+    def visit(node, caller):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "bisect_left" and any(
+                    k.arg == "key" and isinstance(k.value, ast.Name)
+                    and k.value.id == "_EXP"
+                    for k in child.keywords
+                ):
+                    out.append((caller, child.lineno))
+            visit(child, caller)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_a_precision_trims_terms_only_in_below():
+    # every trim goes through ``_below``; ``_coeff_at`` looks one term up
+    callers = {
+        caller
+        for path in sorted(SRC.glob("*.py"))
+        for caller, _ in exponent_bisections(path.read_text())
+    }
+    assert sorted(callers) == ["_below", "_coeff_at"]
+
+
+def test_exponent_bisection_check_flags_what_it_should():
+    source = (
+        "def _below(ints, cut):\n"
+        "    return ints[: bisect_left(ints, cut, key=_EXP)]\n"
+        "class Series:\n"
+        "    def truncate(self, cut):\n"
+        "        i = bisect.bisect_left(self.ints, cut, key=_EXP)\n"
+        "        j = bisect_left(self.ints, cut)\n"
+        "        return bisect_left(self.ints, cut, key=len)\n"
+        "k = bisect_left(ints, 0, key=_EXP)\n"
+    )
+    assert exponent_bisections(source) == [
+        ("_below", 2), ("truncate", 5), (None, 8),
     ]
