@@ -218,15 +218,18 @@ class ApproxType:
         if stab is not None:
             return Fixed(stab)
         pts = [
-            (g, w)
-            for g, w in zip(self._gammas, values)
-            if is_finite(g) and is_finite(w)
-        ]
-        h, beta = fit_tail_law(pts[-self.tail_depth:])
-        # the envelope route, when every derivative value is fixed
+            (gam, w)
+            for gam, w in zip(self._gammas, values)
+            if is_finite(gam) and is_finite(w)
+        ][-self.tail_depth:]
+        # when every derivative value is fixed, the envelope route gives the
+        # threshold past which the law holds: fit only the points past it
         betas = self.taylor_intercepts(g)
-        if betas is not None and not all(b is INF for b in betas):
-            h_env, beta_env, _ = envelope_law(betas, self.distance())
+        if betas is None or all(b is INF for b in betas):
+            h, beta = fit_tail_law(pts)
+        else:
+            h_env, beta_env, above = envelope_law(betas, self.distance())
+            h, beta = fit_tail_law([(gam, w) for gam, w in pts if gam > above])
             if (h_env, beta_env) != (h, beta):
                 raise InternalInconsistency(
                     f"sampled law (h={h}, beta={beta}) disagrees with "

@@ -1,5 +1,11 @@
 """Command-line front end.
 
+``main`` is the one place that resolves the session config, loads the
+``--type`` file, parses the ``eval`` series and ``--poly``, prints, and
+maps errors to exit codes.  Every command except ``corpus`` receives
+those parsed inputs and returns its ``--json`` payload and its text line;
+``corpus`` streams one JSON record per case and returns its exit code.
+
 Exit codes: 0 success, 1 check failure, 2 usage or parse error,
 3 internal inconsistency (two independent computation routes disagree).
 """
@@ -29,15 +35,8 @@ from .curated import trace_pulldown_scenario
 from .corpus import run_corpus
 
 
-def _emit(args, payload: dict, text: str):
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
-
-
-def _load_type(args, cfg: SessionConfig) -> ApproxType:
-    with open(args.type) as fh:
+def _load_type(path: str, cfg: SessionConfig) -> ApproxType:
+    with open(path) as fh:
         desc = json.load(fh)
     p = desc.get("p", cfg.p)
     target = parse_series(desc["target"], p)
@@ -53,55 +52,39 @@ def _load_type(args, cfg: SessionConfig) -> ApproxType:
     )
 
 
-def cmd_eval(args, cfg):
-    s = parse_series(args.series, cfg.p)
-    if args.poly:
-        s = parse_poly(args.poly, cfg.p)(s)
-    _emit(
-        args,
+def cmd_eval(args, cfg, s, f=None):
+    if f is not None:
+        s = f(s)
+    return (
         {"series": format_series(s), "value": format_value(s.val())},
         f"{format_series(s)}  (v = {format_value(s.val())})",
     )
-    return 0
 
 
-def cmd_dist(args, cfg):
-    A = _load_type(args, cfg)
+def cmd_dist(args, cfg, A):
     c = A.distance()
-    _emit(args, {"distance": str(c)}, str(c))
-    return 0
+    return {"distance": str(c)}, str(c)
 
 
-def cmd_fixes(args, cfg):
-    A = _load_type(args, cfg)
-    g = parse_poly(args.poly, cfg.p)
+def cmd_fixes(args, cfg, A, g):
     res = A.fixes_value(g)
     if isinstance(res, Fixed):
-        _emit(
-            args,
+        return (
             {"fixed": True, "value": format_value(res.value)},
             f"fixed, value {format_value(res.value)}",
         )
-    else:
-        _emit(
-            args,
-            {"fixed": False, "h": res.h, "beta": format_value(res.beta)},
-            f"not fixed: v g(c) = {format_value(res.beta)} + {res.h}*v(x-c)",
-        )
-    return 0
+    return (
+        {"fixed": False, "h": res.h, "beta": format_value(res.beta)},
+        f"not fixed: v g(c) = {format_value(res.beta)} + {res.h}*v(x-c)",
+    )
 
 
-def cmd_extend(args, cfg):
-    A = _load_type(args, cfg)
-    g = parse_poly(args.poly, cfg.p)
-    v = A.kaplansky_extend(g)
-    _emit(args, {"value": format_value(v)}, format_value(v))
-    return 0
+def cmd_extend(args, cfg, A, g):
+    v = format_value(A.kaplansky_extend(g))
+    return {"value": v}, v
 
 
-def cmd_reldeg(args, cfg):
-    A = _load_type(args, cfg)
-    f = parse_poly(args.poly, cfg.p)
+def cmd_reldeg(args, cfg, A, f):
     rd = rel_degree(A, f)
     payload = {
         "h": rd.h,
@@ -110,13 +93,10 @@ def cmd_reldeg(args, cfg):
         "law_verification_depth": len(A.tail()),
         "sampled_points": rd.sampled_points,
     }
-    _emit(args, payload, f"h = {rd.h}, beta = {format_value(rd.beta)}")
-    return 0
+    return payload, f"h = {rd.h}, beta = {format_value(rd.beta)}"
 
 
-def cmd_approx_coeff(args, cfg):
-    A = _load_type(args, cfg)
-    f = parse_poly(args.poly, cfg.p)
+def cmd_approx_coeff(args, cfg, A, f):
     d, rd = approx_coefficient(A, f)
     dist = coefficient_dist_law(A, rd.h, d)
     payload = {
@@ -125,26 +105,20 @@ def cmd_approx_coeff(args, cfg):
         "h": rd.h,
         "image_distance": str(dist),
     }
-    _emit(args, payload, f"d = {format_series(d)}, image distance {dist}")
-    return 0
+    return payload, f"d = {format_series(d)}, image distance {dist}"
 
 
-def cmd_factor_shape(args, cfg):
-    A = _load_type(args, cfg)
-    f = parse_poly(args.poly, cfg.p)
+def cmd_factor_shape(args, cfg, A, f):
     n = A.tail()[-1]
     c = A.approximants[n]
     gam = A.gamma(n)
     d = Series.monomial(cfg.p, -gam)
     residues = reduced_factor_shape(A, f, c, d)
     root = (d * (A.target - c)).residue()
-    payload = {"residue_coeffs": residues, "root": root}
-    _emit(
-        args,
-        payload,
+    return (
+        {"residue_coeffs": residues, "root": root},
         f"residue polynomial coefficients {residues} (root {root})",
     )
-    return 0
 
 
 def cmd_envelope(args, cfg):
@@ -162,13 +136,11 @@ def cmd_envelope(args, cfg):
         "permutation": list(order.permutation),
         "argmin": argmin,
     }
-    _emit(
-        args,
+    return (
         payload,
         f"beta = {order.beta}, order {list(order.permutation)}, "
         f"argmin {argmin}",
     )
-    return 0
 
 
 def cmd_tame_witness(args, cfg):
@@ -177,17 +149,14 @@ def cmd_tame_witness(args, cfg):
     ds = [parse_series(text, cfg.p) for text in args.ds]
     d = valuation_independence_witness(G, sigmas, ds)
     terms = [sig(d) * di for sig, di in zip(sigmas, ds)]
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
+    total = sum(terms[1:], terms[0])
     payload = {
         "witness": format_series(d),
         "sum": format_series(total),
         "sum_value": format_value(total.val()),
         "min_value": format_value(min(t.val() for t in terms)),
     }
-    _emit(args, payload, f"d = {format_series(d)} (sum value {payload['sum_value']})")
-    return 0
+    return payload, f"d = {format_series(d)} (sum value {payload['sum_value']})"
 
 
 def cmd_trace_gen(args, cfg):
@@ -199,12 +168,7 @@ def cmd_trace_gen(args, cfg):
         "h": rd.h,
         "pulled_down": in_subfield(sc.trace, p_power_denominators(sc.group.p)),
     }
-    _emit(
-        args,
-        payload,
-        f"Tr(d*x) = {format_series(sc.trace)}, h = {rd.h}",
-    )
-    return 0
+    return payload, f"Tr(d*x) = {format_series(sc.trace)}, h = {rd.h}"
 
 
 def cmd_corpus(args, cfg):
@@ -271,10 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = SessionConfig()
+    args = build_parser().parse_args(argv)
     try:
+        cfg = SessionConfig()
         if args.config:
             cfg = load_config_file(args.config, cfg)
         if args.p is not None:
@@ -282,7 +245,20 @@ def main(argv=None) -> int:
         if args.depth is not None:
             cfg = replace(cfg, tail_depth=args.depth)
         cfg = cfg.validated()
-        return args.fn(args, cfg)
+        if args.fn is cmd_corpus:
+            return cmd_corpus(args, cfg)
+        # the type file, the eval series, then --poly, so an input with two
+        # faults reports the first; an empty eval --poly means none
+        inputs = []
+        if "type" in args:
+            inputs.append(_load_type(args.type, cfg))
+        if "series" in args:
+            inputs.append(parse_series(args.series, cfg.p))
+        if "poly" in args and (args.poly or "type" in args):
+            inputs.append(parse_poly(args.poly, cfg.p))
+        payload, text = args.fn(args, cfg, *inputs)
+        print(json.dumps(payload, sort_keys=True) if args.json else text)
+        return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -292,7 +268,7 @@ def main(argv=None) -> int:
     except ApxError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,7 @@ Values come from CLI flags with an optional key=value file override
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import PreconditionError
 
@@ -25,14 +25,10 @@ class SessionConfig:
         return self
 
 
-_FIELDS = {
-    "p": int,
-    "window": int,
-    "tail_depth": int,
-}
-
-
 def load_config_file(path: str, base: SessionConfig) -> SessionConfig:
+    """``base`` with the key = value lines of ``path`` applied; the keys are
+    SessionConfig's fields, and every one of them is an integer."""
+    keys = {f.name for f in fields(SessionConfig)}
     updates = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -45,7 +41,7 @@ def load_config_file(path: str, base: SessionConfig) -> SessionConfig:
                 )
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _FIELDS:
+            if key not in keys:
                 raise PreconditionError(f"{path}:{lineno}: unknown key {key!r}")
-            updates[key] = _FIELDS[key](value.strip())
+            updates[key] = int(value.strip())
     return replace(base, **updates).validated()

@@ -21,7 +21,6 @@ from .hahn import (
 from .ordval import Cut
 from .valpoly import ValPoly
 from .apprtype import ApproxType
-from .reldeg import rel_degree
 from .tamegal import (
     GaloisElem,
     TameCyclic,
@@ -131,8 +130,8 @@ def trace_pulldown_scenario(terms: int = THETA_TERMS) -> TraceScenario:
             p, (Series.zero(p), Series.monomial(p, 0, sign))
         )
         proxies.append(lin)
-        rd = rel_degree(x_type, lin)
-        # approximation coefficient of a linear proxy: its slope itself
+        # a linear proxy has h = 1, and its approximation coefficient is
+        # its slope itself
         coeffs.append(Series.monomial(p, 0, sign))
     d = valuation_independence_witness(G, G.elements(), coeffs)
     tr = trace_generator(G, x, d)

@@ -13,6 +13,10 @@ Grammar (whitespace insignificant):
             | '(' series ')'  |  coeff
     deg    := int >= 0
 
+One reader, ``_series``, reads a series both on its own and inside the
+parentheses of a polynomial coefficient, on the same scanner, so a
+ParseError's position and quoted text always belong to the whole input.
+
 Example: "t^(-1/2) + 2*t^(1/3) + O(t^2)".  The printer round-trips exactly.
 """
 
@@ -92,34 +96,37 @@ def _parse_exponent(sc: _Scanner) -> Fraction:
     return Fraction(sc.integer())
 
 
-def parse_series(text: str, p: int) -> Series:
-    sc = _Scanner(text)
+def _series(sc: _Scanner, p: int) -> Series:
+    """Read a series at the scanner, up to the end of its last term or its
+    O-term; the caller checks what follows."""
     terms: list[tuple[Fraction, int]] = []
     precision: GroupValue = INF
     while True:
-        sc.skip_ws()
         if sc.eat("O("):
             precision = _parse_exponent(sc)
             sc.expect(")")
-            if not sc.at_end():
-                raise ParseError(text, sc.pos, "trailing input after O-term")
             break
         if sc.peek() == "t":
             terms.append((_parse_exponent(sc), 1))
         else:
             c = sc.integer()
-            if sc.eat("*"):
-                sc.skip_ws()
-                terms.append((_parse_exponent(sc), c % p))
-            elif sc.peek() == "t":
+            if sc.eat("*") or sc.peek() == "t":
                 terms.append((_parse_exponent(sc), c % p))
             else:
                 terms.append((Fraction(0), c % p))
         if not sc.eat("+"):
-            if not sc.at_end():
-                raise ParseError(text, sc.pos, "expected '+' or end")
             break
     return Series.make(p, terms, precision)
+
+
+def parse_series(text: str, p: int) -> Series:
+    sc = _Scanner(text)
+    s = _series(sc, p)
+    if not sc.at_end():
+        if s.precision is INF:
+            raise ParseError(text, sc.pos, "expected '+' or end")
+        raise ParseError(text, sc.pos, "trailing input after O-term")
+    return s
 
 
 def _format_exponent(e: Fraction) -> str:
@@ -150,21 +157,9 @@ def parse_poly(text: str, p: int):
     while True:
         coeff = Series.one(p)
         have_coeff = False
-        sc.skip_ws()
-        if sc.peek() == "(":
-            sc.expect("(")
-            depth = 1
-            start = sc.pos
-            while depth:
-                if sc.pos >= len(sc.text):
-                    raise ParseError(text, start, "unbalanced parenthesis")
-                ch = sc.text[sc.pos]
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                sc.pos += 1
-            coeff = parse_series(sc.text[start : sc.pos - 1], p)
+        if sc.eat("("):
+            coeff = _series(sc, p)
+            sc.expect(")")
             have_coeff = True
             sc.eat("*")
         elif sc.peek() == "t":

@@ -15,6 +15,8 @@ import apxval.apprtype as apprtype
 from apxval.valpoly import ValPoly
 from apxval.apprtype import ApproxType, Fixed, NotFixed, pushed_forward
 from apxval.curated import theta_minpoly, theta_target, theta_type
+from apxval.parsing import parse_poly
+from apxval.reldeg import rel_degree
 
 
 def test_default_approximants_exclude_full_prefix():
@@ -77,6 +79,25 @@ def test_fixes_value_minpoly_not_fixed():
         A = theta_type(p)
         res = A.fixes_value(theta_minpoly(p))
         assert res == NotFixed(p, Fraction(0))
+
+
+# over theta at p = 2, v(g(c_n)) follows w = -7/8 + 2 * gamma_n only past
+# the envelope threshold -1/32: the tail point at gamma = -1/8 lies off it
+LATE_LAW_POLY = (
+    "(t)*X^5 + (t^(-1/4) + t)*X^4 + (t^(-3/4) + t^(-1/4) + 1)*X^3"
+    " + (t^(-5/4) + t^(-1) + t^(-3/4))*X^2 + (t^(-7/4) + t^(-1))*X + (t^(-2))"
+)
+
+
+def test_fixes_value_fits_the_law_past_the_envelope_threshold():
+    A = theta_type(2)
+    g = parse_poly(LATE_LAW_POLY, 2)
+    rd = rel_degree(A, g)
+    assert (rd.h, rd.beta, rd.threshold) == (2, Fraction(-7, 8), Fraction(-1, 32))
+    assert (Fraction(-1, 8), Fraction(-1)) in [
+        (A.gamma(n), g(A.approximants[n]).val()) for n in A.tail()
+    ]
+    assert A.fixes_value(g) == NotFixed(2, Fraction(-7, 8))
 
 
 def test_fixes_value_linear_and_constant():

@@ -130,6 +130,28 @@ def test_fixes_subcommand_fixed_value(capsys, tmp_path, flags, want):
     assert (code, out) == (0, want + "\n")
 
 
+@pytest.mark.parametrize("command", ["fixes", "reldeg"])
+def test_fixes_agrees_with_reldeg_on_a_law_that_starts_late(
+    capsys, tmp_path, command
+):
+    # the tail point at gamma = -1/8 lies before the envelope threshold
+    # -1/32 and off the law; fixes fits only the points past the threshold
+    path = _theta_type_file(tmp_path, 2)
+    poly = (
+        "(t)*X^5 + (t^(-1/4) + t)*X^4 + (t^(-3/4) + t^(-1/4) + 1)*X^3"
+        " + (t^(-5/4) + t^(-1) + t^(-3/4))*X^2 + (t^(-7/4) + t^(-1))*X"
+        " + (t^(-2))"
+    )
+    code, out, err = run_cli(
+        capsys, "--p", "2", command, "--type", path, "--poly", poly
+    )
+    want = {
+        "fixes": "not fixed: v g(c) = -7/8 + 2*v(x-c)",
+        "reldeg": "h = 2, beta = -7/8",
+    }[command]
+    assert (code, out, err) == (0, want + "\n", "")
+
+
 def test_extend_subcommand(capsys, tmp_path):
     path = _theta_type_file(tmp_path, 3, transcendental=True)
     code, out, _ = run_cli(

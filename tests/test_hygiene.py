@@ -233,3 +233,99 @@ def test_exponent_bisection_check_flags_what_it_should():
     assert exponent_bisections(source) == [
         ("_below", 2), ("truncate", 5), (None, 8),
     ]
+
+
+def unused_locals(source):
+    """(function, name, line) for each name a function assigns in its own
+    body and never reads, ``_`` exempt; a read in a nested function or a
+    comprehension counts."""
+    out = []
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+    def own_stores(node, found):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, scopes):
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
+                found.setdefault(child.id, child.lineno)
+            own_stores(child, found)
+        return found
+
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        reads = {
+            n.id for n in ast.walk(fn)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+        }
+        out += [
+            (fn.name, name, line)
+            for name, line in own_stores(fn, {}).items()
+            if name != "_" and name not in reads
+        ]
+    return sorted(out, key=lambda d: d[2])
+
+
+def test_every_local_is_read():
+    found = [
+        (path.name, *d)
+        for path in sorted(SRC.glob("*.py"))
+        for d in unused_locals(path.read_text())
+    ]
+    assert found == []
+
+
+def test_unused_local_check_flags_what_it_should():
+    source = (
+        "def f(xs):\n"
+        "    total = 0\n"
+        "    rd = g(xs)\n"
+        "    for _, x in xs:\n"
+        "        total += x\n"
+        "    def inner():\n"
+        "        kept = 1\n"
+        "        return total + kept\n"
+        "    (a, b), c = xs\n"
+        "    return inner() + a + [y for y, z in xs]\n"
+    )
+    assert unused_locals(source) == [
+        ("f", "rd", 3), ("f", "b", 9), ("f", "c", 9), ("f", "z", 10),
+    ]
+
+
+def prints_outside(source, allowed):
+    """(enclosing top-level function, line) for each ``print`` call in
+    ``source`` outside the functions named in ``allowed``; None at module
+    level."""
+    out = []
+    for node in ast.parse(source).body:
+        caller = node.name if isinstance(node, ast.FunctionDef) else None
+        if caller in allowed:
+            continue
+        out += [
+            (caller, n.lineno)
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id == "print"
+        ]
+    return out
+
+
+def test_only_main_and_the_corpus_stream_print():
+    # every other command returns its payload and its text line to main
+    source = (SRC / "cli.py").read_text()
+    assert prints_outside(source, {"main", "cmd_corpus"}) == []
+
+
+def test_print_check_flags_what_it_should():
+    source = (
+        "def main():\n"
+        "    print('ok')\n"
+        "def cmd_eval(args):\n"
+        "    def show(x):\n"
+        "        print(x)\n"
+        "    sys.stdout.write('not a print call')\n"
+        "    return show\n"
+        "print('module')\n"
+    )
+    assert prints_outside(source, {"main"}) == [("cmd_eval", 5), (None, 8)]

@@ -47,6 +47,19 @@ def test_syntax_errors_are_positioned():
     assert "position" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(t^(1/2) + )*X + 1", "at position 11: expected an integer"),
+        ("(2*t^(1/0))*X", "at position 9: zero denominator"),
+    ],
+)
+def test_coefficient_errors_are_positioned_in_the_polynomial(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text, 3)
+    assert str(exc.value) == f"{message} in {text!r}"
+
+
 def test_poly_literal():
     p = 3
     f = parse_poly("X^3 + (t^(-1))*X + 1", p)

@@ -597,7 +597,10 @@ def test_sampled_law_failure_shapes(shape, monkeypatch):
 
 
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
-def test_fixes_value_failure_shapes(shape):
+def test_fixes_value_failure_shapes(shape, monkeypatch):
+    # the stub has no coefficients, so no derivative value is fixed and
+    # fixes_value fits the whole tail
+    monkeypatch.setattr(ApproxType, "taylor_intercepts", lambda self, g: None)
     p = 3
     A = theta_type(p)
     # the target's value differs from every tail value, so a constant
