@@ -5,7 +5,17 @@ The distance of the type is a cut; because the supremum of an approximant
 value sequence is not determinable from finitely many terms, a constructor
 hint can declare the cut, and every computation checks the observed values
 against it.  The hint and the transcendental marker are caller assertions;
-any observed counterexample raises a MarkerViolation.
+any observed counterexample raises a MarkerViolation.  A target exponent
+outside the ground is one: the distance is then attained at the first such
+exponent e, and any hint other than (<= e) is refused.
+
+Whether the type fixes the value of a polynomial g is decided by one
+verdict, ``_fixed``: v(g(c_n)) is constant over the last ``window``
+approximants (the one window rule, which the Taylor intercepts read too)
+and no visible v(g(target)) contradicts it.  ``fixes_value``,
+``kaplansky_extend``, ``verify_not_fixed_for_minpoly`` and
+``reldeg.rel_degree_general`` all read it, so a value hidden by truncation
+is reported the same way everywhere, as InsufficientPrecision.
 """
 
 from __future__ import annotations
@@ -73,6 +83,10 @@ class ApproxType:
     _gammas: tuple[GroupValue, ...] = field(
         init=False, repr=False, compare=False
     )
+    # (<= e) at the first target exponent e outside the ground, None if
+    # there is none: no ground element cancels that term, so the distance
+    # is attained there
+    _attained: Optional[Cut] = field(init=False, repr=False, compare=False)
     # [c_n, c_n^2, ...] per approximant, grown by the Taylor tables
     _powers: tuple[list[Series], ...] = field(
         init=False, repr=False, compare=False
@@ -108,6 +122,9 @@ class ApproxType:
                 )
             gammas.append(g)
         object.__setattr__(self, "_gammas", tuple(gammas))
+        e = next((e for e, _ in self.target.terms if not self.ground(e)), None)
+        attained = None if e is None else Cut.below_or_equal(e)
+        object.__setattr__(self, "_attained", attained)
         object.__setattr__(
             self, "_powers", tuple([] for _ in self.approximants)
         )
@@ -129,24 +146,26 @@ class ApproxType:
         return any(g is INF for g in self._gammas)
 
     def distance(self) -> Cut:
-        if self.distance_hint is not None:
-            for g in self._gammas:
-                if not compare_value_cut(g, self.distance_hint).lt:
-                    raise MarkerViolation(
-                        f"approximant value {g} contradicts the declared "
-                        f"distance {self.distance_hint}"
-                    )
-            return self.distance_hint
-        # no hint: read the cut off the series data directly
-        bad = [e for e, _ in self.target.terms if not self.ground(e)]
-        if bad:
-            # the coefficient at the first inadmissible exponent can never
-            # be cancelled by a ground element, so the distance is attained
-            return Cut.below_or_equal(bad[0])
-        if self.target.precision is INF:
-            return Cut.plus_infinity()
-        # every visible term is admissible: precision-limited
-        return Cut.below_or_equal(self.target.precision)
+        hint = self.distance_hint
+        if hint is None:
+            if self._attained is not None:
+                return self._attained
+            if self.target.precision is INF:
+                return Cut.plus_infinity()
+            # every visible term is admissible: precision-limited
+            return Cut.below_or_equal(self.target.precision)
+        for g in self._gammas:
+            if not compare_value_cut(g, hint).lt:
+                raise MarkerViolation(
+                    f"approximant value {g} contradicts the declared "
+                    f"distance {hint}"
+                )
+        if self._attained not in (None, hint):
+            raise MarkerViolation(
+                f"a target exponent outside the ground attains the distance "
+                f"{self._attained}, which contradicts the declared {hint}"
+            )
+        return hint
 
     def tail(self) -> list[int]:
         n = len(self.approximants)
@@ -178,45 +197,47 @@ class ApproxType:
 
     # -- fixed-value analysis -------------------------------------------
 
-    def _poly_values(self, g: ValPoly) -> list[GroupValue]:
-        return [g(c).val() for c in self.approximants]
+    def _window_value(self, values: list[GroupValue]) -> Optional[GroupValue]:
+        """The value shared by the last ``window`` of ``values``, or None
+        when they differ: the type's one window rule."""
+        tail = values[-self.window:]
+        return tail[-1] if all(v == tail[-1] for v in tail) else None
 
-    def _fixed_value(
-        self, g: ValPoly, values: list[GroupValue]
-    ) -> Optional[GroupValue]:
-        """The value the type fixes for g, given v(g(c_n)) for every
-        approximant: the value constant over the last ``window`` of them,
-        unless a visible v(g(target)) differs from it; None when the
-        window is not constant.  The type's one fixed-value rule."""
-        w = min(self.window, len(values))
-        tail = values[-w:]
-        if w == 0 or any(v != tail[0] for v in tail):
-            return None
-        stab = tail[0]
-        try:
-            vx = g(self.target).val()
-        except IndeterminateValuation:
-            return stab
-        # constant window but wrong limit: treat as not yet stabilized
-        return stab if vx == stab else None
-
-    def fixes_value(self, g: ValPoly) -> Fixed | NotFixed:
+    def _fixed(self, g: ValPoly) -> tuple[Optional[GroupValue], list]:
+        """The type's one fixed-value verdict for g: the value v(g(c_n))
+        that the window rule reads off the approximants, unless a visible
+        v(g(target)) differs from it, else None.  With it come v(g(c_n))
+        for every approximant, then v(g(target)) or None when hidden."""
         if g.is_zero:
             raise PreconditionError("the zero polynomial has no value")
         if g.degree() == 0:
-            return Fixed(g.coeffs[0].val())
+            v = g.coeffs[0].val()
+            return v, [v] * (len(self.approximants) + 1)
         values = []
-        for n in range(len(self.approximants)):
-            s = g(self.approximants[n])
+        for n, c in enumerate(self.approximants):
             try:
-                values.append(s.val())
+                values.append(g(c).val())
             except IndeterminateValuation:
                 raise InsufficientPrecision(
                     f"v(g(c_{n})) is swallowed by the precision bound"
                 )
-        stab = self._fixed_value(g, values)
-        if stab is not None:
-            return Fixed(stab)
+        try:
+            vx = g(self.target).val()
+        except IndeterminateValuation:
+            vx = None
+        stab = self._window_value(values)
+        # a constant window but a different limit: not yet fixed
+        if vx is not None and vx != stab:
+            stab = None
+        return stab, values + [vx]
+
+    def fixes_value(self, g: ValPoly) -> Fixed | NotFixed:
+        stab, values = self._fixed(g)
+        return Fixed(stab) if stab is not None else self._law(g, values)
+
+    def _law(self, g: ValPoly, values: list) -> NotFixed:
+        """The affine law of v(g(c_n)) on the tail, for a g whose value the
+        type does not fix, given the values that ``_fixed`` read."""
         pts = [
             (gam, w)
             for gam, w in zip(self._gammas, values)
@@ -240,39 +261,29 @@ class ApproxType:
     def taylor_intercepts(self, g: ValPoly) -> Optional[list[GroupValue]]:
         """Stabilized values of the derivative evaluations g_i(c_n) on the
         tail, i = 1..deg g, or None if some of them do not stabilize."""
-        deg = g.degree()
-        tail = self.tail()
-        tables = []
-        for n in tail:
-            tables.append(
-                taylor_coefficients(g, self.approximants[n], self._powers[n])
-            )
+        tables = [
+            taylor_coefficients(g, self.approximants[n], self._powers[n])
+            for n in self.tail()
+        ]
         betas: list[GroupValue] = []
-        for i in range(1, deg + 1):
-            vals = []
-            for tab in tables:
-                try:
-                    vals.append(tab[i].val())
-                except IndeterminateValuation:
-                    return None
-            if any(v != vals[-1] for v in vals[-min(self.window, len(vals)):]):
+        for i in range(1, g.degree() + 1):
+            try:
+                beta = self._window_value([tab[i].val() for tab in tables])
+            except IndeterminateValuation:
                 return None
-            betas.append(vals[-1])
+            if beta is None:
+                return None
+            betas.append(beta)
         return betas
 
     def kaplansky_extend(self, g: ValPoly) -> GroupValue:
         """The extension of v to g(x) for a transcendental type: the value
-        the type fixes for g (``_fixed_value``), which ``fixes_value``
-        reports too."""
+        the type fixes for g, which ``fixes_value`` reports too."""
         if not self.transcendental:
             raise PreconditionError(
                 "value extension needs the transcendental marker"
             )
-        if g.is_zero:
-            raise PreconditionError("the zero polynomial has no value")
-        if g.degree() == 0:
-            return g.coeffs[0].val()
-        stab = self._fixed_value(g, self._poly_values(g))
+        stab, _ = self._fixed(g)
         if stab is None:
             raise MarkerViolation(
                 f"value of degree-{g.degree()} polynomial not fixed at "
@@ -288,23 +299,21 @@ class ApproxType:
             raise PreconditionError(
                 "distance is attained: the type is not immediate"
             )
-        gx = g(self.target)
-        try:
-            vx = gx.val()
-        except IndeterminateValuation:
-            vx = None
+        stab, values = self._fixed(g)
+        *approx_vals, vx = values
         if vx is not None and vx is not INF:
             # a truncated target cannot vanish exactly at g; root behavior
             # means v(g(target)) stays strictly above every approximant value
-            approx_vals = [
-                v for v in self._poly_values(g) if is_finite(v)
-            ]
+            approx_vals = [v for v in approx_vals if is_finite(v)]
             if approx_vals and vx <= max(approx_vals):
                 raise PreconditionError(
                     "target does not behave as a root of the claimed "
                     "minimal polynomial along the approximants"
                 )
-        return isinstance(self.fixes_value(g), NotFixed)
+        if stab is not None:
+            return False
+        self._law(g, values)  # raises unless the tail follows a law
+        return True
 
 
 def pushed_forward(

@@ -20,7 +20,13 @@ from dataclasses import replace
 from .config import SessionConfig, load_config_file
 from .errors import ApxError, InternalInconsistency
 from .ordval import format_value, parse_cut, parse_value
-from .hahn import Series, in_subfield, p_power_denominators, resolve_predicate
+from .hahn import (
+    Series,
+    dot,
+    in_subfield,
+    p_power_denominators,
+    resolve_predicate,
+)
 from .parsing import ParseError, format_series, parse_poly, parse_series
 from .envelope import AffineFamily, eventual_order, eventual_argmin
 from .apprtype import ApproxType, Fixed
@@ -35,9 +41,20 @@ from .curated import trace_pulldown_scenario
 from .corpus import run_corpus
 
 
+def _json_object(desc, what: str, keys: tuple[str, ...]) -> dict:
+    """``desc`` when it is a JSON object holding every key of ``keys``;
+    ValueError, a usage error, when it is not."""
+    if not isinstance(desc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [k for k in keys if k not in desc]
+    if missing:
+        raise ValueError(f"{what} lacks the key {missing[0]!r}")
+    return desc
+
+
 def _load_type(path: str, cfg: SessionConfig) -> ApproxType:
     with open(path) as fh:
-        desc = json.load(fh)
+        desc = _json_object(json.load(fh), "type description", ("target",))
     p = desc.get("p", cfg.p)
     target = parse_series(desc["target"], p)
     ground = resolve_predicate(desc.get("ground", "Z[1/p]"), p)
@@ -122,12 +139,15 @@ def cmd_factor_shape(args, cfg, A, f):
 
 
 def cmd_envelope(args, cfg):
-    desc = json.loads(args.family)
+    keys = ("approach", "items")
+    desc = _json_object(json.loads(args.family), "family", keys)
     approach = parse_cut(desc["approach"])
-    items = [
-        (it["i"], parse_value(str(it["intercept"])), it["slope"])
-        for it in desc["items"]
-    ]
+    if not isinstance(desc["items"], list):
+        raise ValueError("family items must be a JSON list")
+    items = []
+    for it in desc["items"]:
+        it = _json_object(it, "family item", ("i", "intercept", "slope"))
+        items.append((it["i"], parse_value(str(it["intercept"])), it["slope"]))
     fam = AffineFamily.make(items, approach)
     order = eventual_order(fam)
     argmin = eventual_argmin(fam)
@@ -148,8 +168,9 @@ def cmd_tame_witness(args, cfg):
     sigmas = [G.element(int(k)) for k in args.sigmas.split(",")]
     ds = [parse_series(text, cfg.p) for text in args.ds]
     d = valuation_independence_witness(G, sigmas, ds)
-    terms = [sig(d) * di for sig, di in zip(sigmas, ds)]
-    total = sum(terms[1:], terms[0])
+    images = [sig(d) for sig in sigmas]
+    terms = [a * di for a, di in zip(images, ds)]
+    total = dot(images, ds)
     payload = {
         "witness": format_series(d),
         "sum": format_series(total),

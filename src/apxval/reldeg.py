@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     StabilizationError,
 )
-from .hahn import Series, invert
+from .hahn import Series, dot, invert
 from .ordval import INF, Cut, GroupValue, is_finite, scale_cut, shift_cut
 from .valpoly import (
     ValPoly,
@@ -143,10 +143,9 @@ def rel_degree_general(
     associated minimal polynomial."""
     if g.is_zero:
         raise PreconditionError("the zero polynomial has no value")
-    # the check of fixes_value without its law fit, which could raise
     try:
-        fixed = A._fixed_value(minpoly_f, A._poly_values(minpoly_f))
-    except IndeterminateValuation:
+        fixed, _ = A._fixed(minpoly_f)
+    except (IndeterminateValuation, InsufficientPrecision):
         fixed = None  # some v(f(c_n)) is hidden: the value is not seen fixed
     if fixed is not None:
         raise PreconditionError(
@@ -154,24 +153,19 @@ def rel_degree_general(
         )
     rd = rel_degree(A, minpoly_f)
     digits = f_adic_expand(g, minpoly_f)
+    # per digit: the value the type fixes and v(digit(c_n)) for every n
+    verdicts = []
     items = []
-    gammas: list[GroupValue] = []
     for i, digit in enumerate(digits):
-        if digit.is_zero:
-            gammas.append(INF)
-        else:
-            res = A.fixes_value(digit)
-            if not isinstance(res, Fixed):
-                raise MarkerViolation(
-                    f"digit {i} value is not fixed by the type"
-                )
-            gammas.append(res.value)
-        intercept = gammas[i] if gammas[i] is INF else gammas[i] + i * rd.beta
-        items.append((i, intercept, i * rd.h))
+        v, values = (INF, None) if digit.is_zero else A._fixed(digit)
+        if v is None:
+            raise MarkerViolation(f"digit {i} value is not fixed by the type")
+        verdicts.append((v, values))
+        items.append((i, v if v is INF else v + i * rd.beta, i * rd.h))
     m, order = _ordered_argmin(AffineFamily.make(items, A.distance()))
     if m == 0:
-        return Fixed(gammas[0])
-    beta = gammas[m] + m * rd.beta
+        return Fixed(verdicts[0][0])
+    beta = verdicts[m][0] + m * rd.beta
     # the law holds once gamma is past the minimal polynomial's envelope
     # threshold and the digit family's order threshold, from the first
     # approximant at which every digit takes the value the type fixes
@@ -179,15 +173,14 @@ def rel_degree_general(
     pts = []
     settled = False
     for n in A.tail():
-        c = A.approximants[n]
-        try:
-            settled = settled or all(
-                d.is_zero or d(c).val() == v for d, v in zip(digits, gammas)
-            )
-            if settled and A.gamma(n) > above:
-                pts.append((A.gamma(n), g(c).val()))
-        except IndeterminateValuation:
-            continue
+        settled = settled or all(
+            values is None or values[n] == v for v, values in verdicts
+        )
+        if settled and A.gamma(n) > above:
+            try:
+                pts.append((A.gamma(n), g(A.approximants[n]).val()))
+            except IndeterminateValuation:
+                continue
     _check_tail_law(
         pts, m * rd.h, beta,
         "digit-expansion law disagrees with direct evaluation",
@@ -253,14 +246,17 @@ def _certify_coefficient(samples: list[Series], d: Series) -> bool:
     for s in samples:
         if s.val() != vd:
             return False
-        diff = s - d
-        try:
-            vdiff = diff.val()
-        except IndeterminateValuation:
-            vdiff = diff.precision
-        if not vdiff > vd:
+        if not _value_or_precision(s - d) > vd:
             return False
     return True
+
+
+def _value_or_precision(s: Series) -> GroupValue:
+    """v(s), or the precision of s when truncation hid every term."""
+    try:
+        return s.val()
+    except IndeterminateValuation:
+        return s.precision
 
 
 def coefficient_dist_law(A: ApproxType, h: int, d: Series) -> Cut:
@@ -335,23 +331,14 @@ def combine_same_degree(
     equal min v(k_i d_i) and be finite."""
     if not (len(proxies) == len(ks) == len(ds)) or not proxies:
         raise PreconditionError("need matching nonempty proxy/k/d lists")
-    hs = set()
-    for prox, d in zip(proxies, ds):
-        rd = rel_degree(A, prox)
-        hs.add(rd.h)
+    hs = {rel_degree(A, prox).h for prox in proxies}
     if len(hs) != 1:
         raise PreconditionError("proxies must share a common h")
     h = hs.pop()
-    terms = [k * d for k, d in zip(ks, ds)]
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    min_v = min(t.val() for t in terms)
-    try:
-        v_total = total.val()
-    except IndeterminateValuation:
-        v_total = None
-    if v_total is None or v_total is INF or v_total != min_v:
+    min_v = min((k * d).val() for k, d in zip(ks, ds))
+    # a sum that truncation hides has a precision above min_v: cancelled
+    v_total = _value_or_precision(dot(ks, ds))
+    if v_total is INF or v_total != min_v:
         raise PreconditionError(
             "coefficient cancellation: v(sum k_i d_i) exceeds min v(k_i d_i)"
         )
@@ -394,21 +381,13 @@ def reduced_factor_shape(
     coeffs = {0: Series.zero(p)}
     for i in range(1, f.degree() + 1):
         a_i = tab[i] * (d ** (h - i) if h >= i else invert(d ** (i - h), INF)) * inv
-        try:
-            v_ai = a_i.val()
-        except IndeterminateValuation:
-            v_ai = a_i.precision
-        if v_ai < 0:
+        if _value_or_precision(a_i) < 0:
             raise PreconditionError(
                 f"coefficient {i} is not integral: approximant not deep enough"
             )
         coeffs[i] = a_i
         coeffs[0] = coeffs[0] - a_i * x0 ** i
-    try:
-        v0 = coeffs[0].val()
-    except IndeterminateValuation:
-        v0 = coeffs[0].precision
-    if v0 < 0:
+    if _value_or_precision(coeffs[0]) < 0:
         raise PreconditionError("constant term is not integral")
     residues = []
     for i in range(f.degree() + 1):

@@ -20,7 +20,7 @@ from .errors import (
     InternalInconsistency,
     PreconditionError,
 )
-from .hahn import Series, _from_ints, invert
+from .hahn import Series, _from_ints, dot, invert
 from .ordval import INF, GroupValue
 
 
@@ -159,13 +159,12 @@ def valuation_independence_witness(
 def _witness_works(
     G: TameCyclic, d: Series, sigmas: list[GaloisElem], ds: list[Series]
 ) -> bool:
-    terms = [sig(d) * di for sig, di in zip(sigmas, ds)]
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    min_v = min(t.val() for t in terms)
+    images = [sig(d) for sig in sigmas]
+    # v(a * d_i) = v(a) + v(d_i), both determinate: a is d's image and the
+    # d_i have value 0
+    min_v = min(a.val() + di.val() for a, di in zip(images, ds))
     try:
-        return total.val() == min_v
+        return dot(images, ds).val() == min_v
     except IndeterminateValuation:
         return False
 

@@ -65,6 +65,33 @@ def test_distance_hint_checked():
         ).distance()
 
 
+def test_distance_hint_checked_against_an_outside_exponent():
+    # over Z the theta target's first exponent -1/3 lies outside the
+    # ground, so the distance is attained there whatever the hint says;
+    # the hint (<0) once passed, and factor-shape then exited 3
+    p = 3
+    attained = Cut.below_or_equal(Fraction(-1, 3))
+    A = ApproxType.from_truncations(
+        theta_target(p), integers_predicate(), distance_hint=Cut.strictly_below(0)
+    )
+    with pytest.raises(MarkerViolation, match="outside the ground"):
+        A.distance()
+    with pytest.raises(MarkerViolation, match="outside the ground"):
+        rel_degree(A, parse_poly("X^2 + 1", p))
+    assert replace(A, distance_hint=None).distance() == attained
+    # an approximant short of the outside exponent 1/2 leaves (<=1/2) the
+    # one hint that holds
+    x = Series.make(p, [(0, 1), (Fraction(1, 2), 1)])
+    B = ApproxType(x, integers_predicate(), (Series.zero(p),))
+    for hint in (Cut.below_or_equal(Fraction(1, 2)), None):
+        assert replace(B, distance_hint=hint).distance() == Cut.below_or_equal(
+            Fraction(1, 2)
+        )
+    for hint in (Cut.strictly_below(Fraction(1, 2)), Cut.strictly_below(1)):
+        with pytest.raises(MarkerViolation, match="outside the ground"):
+            replace(B, distance_hint=hint).distance()
+
+
 def test_same_type():
     p = 3
     A = theta_type(p)

@@ -80,6 +80,54 @@ def test_dist_subcommand(capsys, tmp_path):
     assert out.strip() == "(<0)"
 
 
+@pytest.mark.parametrize(
+    "command", ["dist", "reldeg", "approx-coeff", "factor-shape"]
+)
+def test_a_hint_that_an_outside_exponent_contradicts_exits_1(
+    capsys, tmp_path, command
+):
+    # over Z the distance is attained at the exponent -1/3: (<=-1/3), not
+    # the declared (<0); dist printed (<0) and factor-shape exited 3
+    path = Path(_theta_type_file(tmp_path, 3))
+    path.write_text(json.dumps({**json.loads(path.read_text()), "ground": "Z"}))
+    poly = [] if command == "dist" else ["--poly", "X^2 + 1"]
+    code, out, err = run_cli(
+        capsys, "--p", "3", command, "--type", str(path), *poly
+    )
+    assert (code, out) == (1, "")
+    assert "outside the ground" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dist", "--type", {"p": 3, "hint": "(<0)"}], "lacks the key 'target'"),
+        (["dist", "--type", [1, 2]], "must be a JSON object"),
+        (["envelope", {}], "lacks the key 'approach'"),
+        (["envelope", [1]], "must be a JSON object"),
+        (
+            ["envelope", {"approach": "(+inf)", "items": [{"i": 0, "slope": 1}]}],
+            "lacks the key 'intercept'",
+        ),
+        (["envelope", {"approach": "(+inf)", "items": 3}], "must be a JSON list"),
+    ],
+    ids=["no-target", "type-list", "no-approach", "family-list", "no-intercept",
+         "items-number"],
+)
+def test_a_malformed_json_shape_is_a_usage_error(capsys, tmp_path, argv, message):
+    # each of these once ended in a KeyError, TypeError or AttributeError
+    *head, desc = argv
+    if head[-1] == "--type":
+        path = tmp_path / "type.json"
+        path.write_text(json.dumps(desc))
+        desc = str(path)
+    else:
+        desc = json.dumps(desc)
+    code, out, err = run_cli(capsys, "--p", "3", *head, desc)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and message in err
+
+
 def test_reldeg_subcommand(capsys, tmp_path):
     path = _theta_type_file(tmp_path, 3)
     code, out, _ = run_cli(

@@ -1,7 +1,8 @@
 """Source hygiene: every name a library module imports is used in it, every
 module it imports is in the standard library, every private function
 or method is referenced somewhere in the library, the product routes
-are chosen in one place, and a precision trims sorted terms in one place."""
+are chosen in one place, a precision trims sorted terms in one place, and
+the window rule of the law layer is read in one place."""
 
 import ast
 import sys
@@ -180,6 +181,56 @@ def test_route_reference_check_flags_what_it_should():
     assert route_references(source) == [
         ("_kronecker", "_convolve", 2), ("_pairwise", "_convolve", 2),
         ("_pairwise", "__mul__", 5), ("_kronecker", None, 6),
+    ]
+
+
+def attribute_reads(source, attr):
+    """(enclosing function, line) for each read of ``.attr`` in ``source``;
+    the enclosing function is the innermost one, None at module level."""
+    out = []
+
+    def visit(node, caller):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == attr
+                and isinstance(child.ctx, ast.Load)
+            ):
+                out.append((caller, child.lineno))
+            visit(child, caller)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_the_window_rule_is_read_in_one_function():
+    # the fixed-value verdict and the Taylor intercepts share one rule for
+    # "constant over the last ``window`` values"
+    readers = {
+        caller
+        for name in ("apprtype.py", "reldeg.py")
+        for caller, _ in attribute_reads((SRC / name).read_text(), "window")
+    }
+    assert len(readers) <= 1, sorted(readers)
+
+
+def test_attribute_read_check_flags_what_it_should():
+    source = (
+        "class T:\n"
+        "    def _rule(self, vals):\n"
+        "        return vals[-self.window:]\n"
+        "    def other(self, window):\n"
+        "        self.window = window\n"
+        "        return window + self.windows\n"
+        "def f(A):\n"
+        "    return A.window + A.tail_depth\n"
+        "w = cfg.window\n"
+    )
+    assert attribute_reads(source, "window") == [
+        ("_rule", 3), ("f", 8), (None, 9),
     ]
 
 

@@ -2,14 +2,24 @@
 term it cannot know.  Each trial draws exact operands, truncates them at
 random precisions, and checks that op(truncated) equals op(exact) at every
 exponent below op(truncated).precision, which is what ``==`` against the
-exact result truncated there states."""
+exact result truncated there states.  At the law level, a deeper
+truncation of the theta target gives the same (h, beta) or a refusal."""
 
 import random
 from fractions import Fraction
 
+from apxval.curated import theta_minpoly, theta_type
+from apxval.errors import ApxError, InternalInconsistency
 from apxval.hahn import Series, dot, invert
 from apxval.ordval import INF
-from apxval.valpoly import ValPoly, power_sum, taylor_coefficients
+from apxval.reldeg import rel_degree
+from apxval.valpoly import (
+    ValPoly,
+    f_adic_expand,
+    poly_divmod,
+    power_sum,
+    taylor_coefficients,
+)
 
 
 def exact_series(rng, p):
@@ -71,3 +81,93 @@ def test_truncated_operands_give_sound_results_randomized():
             assert sound(got, want), (op, p, a, b, ta, tb, got, want)
         checked += len(pairs)
     assert checked > 6000
+
+
+def coeff_pairs(op, got, want):
+    """(op, got coefficient, exact coefficient) for every degree of either
+    polynomial, a missing coefficient standing in as an exact zero."""
+    n = max(len(got.coeffs), len(want.coeffs))
+    return [(op, got.coeff(i), want.coeff(i)) for i in range(n)]
+
+
+def exact_poly(rng, p, max_deg):
+    return ValPoly.make(
+        p, [exact_series(rng, p) for _ in range(rng.randint(1, max_deg + 1))]
+    )
+
+
+def test_division_expansion_and_composition_are_sound_randomized():
+    # poly_divmod needs an exact monomial as the divisor's leading
+    # coefficient, so only the divisor's lower coefficients are truncated
+    rng = random.Random(19420901)
+    checked = 0
+    for trial in range(300):
+        p = (2, 3, 5, 7)[trial % 4]
+        g = exact_poly(rng, p, 5)
+        e = Fraction(rng.randint(-3, 3), rng.choice((1, p)))
+        lead = Series.monomial(p, e, rng.randint(1, p - 1))
+        lower = [exact_series(rng, p) for _ in range(rng.randint(1, 3))]
+        f = ValPoly.make(p, [*lower, lead])
+        h = exact_poly(rng, p, 2)
+        tg, th = (
+            ValPoly.make(p, [truncated(rng, c) for c in u.coeffs]) for u in (g, h)
+        )
+        tf = ValPoly.make(p, [*(truncated(rng, c) for c in f.coeffs[:-1]), lead])
+        (tq, tr), (q, r) = poly_divmod(tg, tf), poly_divmod(g, f)
+        pairs = coeff_pairs("quotient", tq, q) + coeff_pairs("remainder", tr, r)
+        got, want = f_adic_expand(tg, tf), f_adic_expand(g, f)
+        zero = ValPoly.zero(p)
+        for i in range(max(len(got), len(want))):
+            pairs += coeff_pairs(
+                f"digit {i}",
+                got[i] if i < len(got) else zero,
+                want[i] if i < len(want) else zero,
+            )
+        pairs += coeff_pairs("compose", tg.compose(th), g.compose(h))
+        for op, got, want in pairs:
+            assert sound(got, want), (op, p, g, f, h, tg, tf, th, got, want)
+        checked += len(pairs)
+    assert checked > 2500
+
+
+def monomial_poly(rng, p, max_deg):
+    """Degree 1..max_deg, each coefficient zero or a monomial."""
+    coeffs = [
+        Series.zero(p) if rng.random() < 0.3 else Series.monomial(
+            p, Fraction(rng.randint(-4, 4), p ** rng.randint(0, 2)),
+            rng.randint(1, p - 1),
+        )
+        for _ in range(rng.randint(1, max_deg) + 1)
+    ]
+    if coeffs[-1].is_exact_zero:
+        coeffs[-1] = Series.one(p)
+    return ValPoly.make(p, coeffs)
+
+
+def test_deeper_theta_truncations_give_the_same_law_or_refuse():
+    # the theta target known to O(t^P): a deeper truncation may let the
+    # library answer where a shallower one refused, but never changes the
+    # law it reports, and never finds the two routes disagreeing
+    rng = random.Random(13040200)
+    precisions = (1, 4, 12)
+    types = {
+        (p, P): theta_type(p, precision=P) for p in (2, 3) for P in precisions
+    }
+    answered = 0
+    for trial in range(150):
+        p = (2, 3)[trial % 2]
+        g = monomial_poly(rng, p, 6)
+        if trial % 3 == 0:
+            g = theta_minpoly(p) * g
+        laws = set()
+        for P in precisions:
+            try:
+                rd = rel_degree(types[p, P], g)
+            except InternalInconsistency:
+                raise
+            except ApxError:
+                continue
+            laws.add((rd.h, rd.beta))
+            answered += 1
+        assert len(laws) <= 1, (p, g, laws)
+    assert answered > 400
