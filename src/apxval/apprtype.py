@@ -91,7 +91,8 @@ class ApproxType:
     _powers: tuple[list[Series], ...] = field(
         init=False, repr=False, compare=False
     )
-    # the sampled law route's own powers, grown by valpoly.power_sum: one
+    # the sampled law route's own powers, grown by valpoly.power_sum (the
+    # Frobenius map where p divides k, the halving split elsewhere): one
     # list per approximant, then one for the target; never shared with
     # _powers, so the two law routes stay independent
     _sampled_powers: tuple[list[Series], ...] = field(
@@ -154,17 +155,22 @@ class ApproxType:
                 return Cut.plus_infinity()
             # every visible term is admissible: precision-limited
             return Cut.below_or_equal(self.target.precision)
+        if self._attained is not None:
+            # every approximant value lies in (<= e): no ground element
+            # cancels the target's term at e, so this hint is the only one
+            if hint != self._attained:
+                raise MarkerViolation(
+                    f"a target exponent outside the ground attains the "
+                    f"distance {self._attained}, which contradicts the "
+                    f"declared {hint}"
+                )
+            return hint
         for g in self._gammas:
             if not compare_value_cut(g, hint).lt:
                 raise MarkerViolation(
                     f"approximant value {g} contradicts the declared "
                     f"distance {hint}"
                 )
-        if self._attained not in (None, hint):
-            raise MarkerViolation(
-                f"a target exponent outside the ground attains the distance "
-                f"{self._attained}, which contradicts the declared {hint}"
-            )
         return hint
 
     def tail(self) -> list[int]:

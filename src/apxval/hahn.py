@@ -6,11 +6,12 @@ INF marks an exact element.  The valuation is the least stored exponent,
 with v(t) = 1 throughout.
 
 Exponents are stored as integers over one common denominator ``den`` per
-series, so the kernels (+, *, -, dot, scale, shift, truncate, coeff,
-residue, invert) run on integers and rescale to lcm(den_a, den_b) where operand
-denominators differ.  ``Fraction`` appears only at the API boundary: the
-derived ``terms`` view, ``val()``, ``leading()``, precisions and
-subfield predicates.
+series, so the kernels (+, *, -, dot, frobenius, scale, shift, truncate,
+coeff, residue, invert) run on integers and rescale to lcm(den_a, den_b)
+where operand denominators differ.  ``frobenius`` is the p-th power with
+no product: over F_p, (sum c t^e)^p = sum c t^(p e).  ``Fraction``
+appears only at the API boundary: the derived ``terms`` view, ``val()``,
+``leading()``, precisions and subfield predicates.
 
 Products (``*`` and ``dot``) have three routes.  Where the exponents lie
 dense on the common denominator, one big product per operand pair forms
@@ -377,6 +378,27 @@ class Series:
         return _from_ints(
             self.p, den, tuple([(k * f + d, c) for k, c in self.ints]), prec
         )
+
+    def frobenius(self) -> "Series":
+        """self ** p with no product: in characteristic p with coefficients
+        in F_p, (sum c t^e)^p = sum c t^(p e), so every exponent is
+        multiplied by p over the same ``den``.
+
+        The precision is the one the product chain gives,
+        (p - 1) v + prec, a series without terms standing in with its
+        precision for v; below it the truncated product is exactly this
+        image.  An exact series stays exact.
+        """
+        p, den, prec = self.p, self.den, self.precision
+        if prec is not INF:
+            n, d = prec.numerator, prec.denominator
+            if self.ints:
+                n, d = (p - 1) * self.ints[0][0] * d + n * den, den * d
+            else:
+                n *= p
+            prec = _fraction(n, d)
+        ints = tuple([(k * p, c) for k, c in self.ints])
+        return _from_ints(p, den, _below(ints, _cutoff(prec, den)), prec)
 
     def __pow__(self, k: int) -> "Series":
         if k < 0:

@@ -11,9 +11,11 @@ A polynomial evaluates one way: ``power_sum`` sums a_j * x^j in one
 coefficients nearly every product is a one-term shift and no partial sum
 is built.  ``f(x)`` is ``power_sum`` over a fresh list; the sampled law
 route passes a list the caller keeps across polynomials.  Its powers come
-from the halving split x^k = x^ceil(k/2) * x^floor(k/2); the Taylor tables
-build theirs as c^k = c^(k-1) * c, so the two law routes that rest on them
-share neither a cache nor an algorithm.  Horner's scheme is only the
+from the Frobenius map x^k = (x^(k/p))^p where p divides k, which only
+multiplies exponents by p, and from the halving split
+x^k = x^ceil(k/2) * x^floor(k/2) elsewhere; the Taylor tables build theirs
+as c^k = c^(k-1) * c, so the two law routes that rest on them share
+neither a cache nor an algorithm.  Horner's scheme is only the
 reference in the tests, and gives the same series, precision included.
 """
 
@@ -131,18 +133,23 @@ def power_sum(f: ValPoly, x: Series, powers: list[Series]) -> Series:
     """f(x) as the sum a_0 + sum_{j>=1} a_j x^j over the powers of x.
 
     ``powers`` is a caller-owned list [x, x^2, ...] of powers of this same
-    x, extended in place as far as deg f needs; each x^k is
-    x^ceil(k/2) * x^floor(k/2), so the result never depends on what the
-    list already held.  The sum is one ``dot``: a zero coefficient that is
-    truncated still bounds the precision through its product with x^j.
+    x, extended in place as far as deg f needs; x^k is the Frobenius image
+    of x^(k/p) (``Series.frobenius``, no product) when p divides k, and
+    x^ceil(k/2) * x^floor(k/2) otherwise, so the result never depends on
+    what the list already held.  The sum is one ``dot``: a zero
+    coefficient that is truncated still bounds the precision through its
+    product with x^j.
     """
     coeffs = f.coeffs
     if not coeffs:
         return Series.zero(f.p)
+    p = x.p
     while len(powers) < len(coeffs) - 1:
         k = len(powers) + 1
         if k == 1:
             powers.append(x)
+        elif k % p == 0:
+            powers.append(powers[k // p - 1].frobenius())
         else:
             powers.append(powers[k - k // 2 - 1] * powers[k // 2 - 1])
     return dot(coeffs, [Series.one(f.p), *powers])

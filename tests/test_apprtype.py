@@ -79,6 +79,13 @@ def test_distance_hint_checked_against_an_outside_exponent():
     with pytest.raises(MarkerViolation, match="outside the ground"):
         rel_degree(A, parse_poly("X^2 + 1", p))
     assert replace(A, distance_hint=None).distance() == attained
+    # the approximant 0 reaches -1/3 itself: (<=-1/3) is still the one
+    # hint that holds, and the approximant value does not refuse it
+    assert A.gammas() == [Fraction(-1, 3)]
+    assert replace(A, distance_hint=attained).distance() == attained
+    for hint in (Cut.strictly_below(Fraction(-1, 3)), Cut.below_or_equal(0)):
+        with pytest.raises(MarkerViolation, match="outside the ground"):
+            replace(A, distance_hint=hint).distance()
     # an approximant short of the outside exponent 1/2 leaves (<=1/2) the
     # one hint that holds
     x = Series.make(p, [(0, 1), (Fraction(1, 2), 1)])

@@ -310,6 +310,54 @@ def test_dot_equals_the_sum_of_products_randomized():
         dot([Series.one(2)], [Series.one(3)])
 
 
+def frobenius_operand(rng, p):
+    """Exact, truncated, or truncated below its terms (so with none), over
+    a denominator with a p-power part and a part coprime to p; exponents
+    and precisions reach below 0."""
+    coprime = [d for d in (1, 2, 3, 5, 7) if d % p]
+    den = p ** rng.randint(0, 2) * rng.choice(coprime)
+    terms = [
+        (Fraction(rng.randint(-20, 20), den), rng.randint(1, p - 1))
+        for _ in range(rng.randint(1, 6))
+    ]
+    kind = rng.choice(("exact", "truncated", "no terms"))
+    if kind == "exact":
+        return Series.make(p, terms)
+    lo = min(e for e, _ in terms)
+    prec = lo + Fraction(rng.randint(1, 30), rng.choice((1, 2, p, 3 * p)))
+    if kind == "no terms":
+        prec = lo - Fraction(rng.randint(0, 9), rng.choice((1, 4, p)))
+    return Series.make(p, terms, prec)
+
+
+def test_frobenius_equals_the_p_fold_product_randomized():
+    # y ** p and y * y * ... * y are the references: equal terms, equal
+    # precision and equal hash, over every prime of the tests
+    rng = random.Random(1729)
+    seen = set()
+    for trial in range(2000):
+        p = (2, 3, 5, 7)[trial % 4]
+        y = frobenius_operand(rng, p)
+        got = y.frobenius()
+        product = y
+        for _ in range(p - 1):
+            product = product * y
+        assert got == y**p == product, (y, got, product)
+        assert hash(got) == hash(product)
+        assert_series_invariants(got)
+        exact = y.precision is INF
+        assert (got.precision is INF) == exact
+        negative = bool(y.ints) and y.val() < 0
+        seen.add((p, exact, bool(y.ints), negative))
+    # each prime: exact and truncated operands with terms, of either sign
+    # of v(y), and truncated ones without terms
+    for p in (2, 3, 5, 7):
+        assert (p, False, False, False) in seen
+        for exact in (True, False):
+            assert {(p, exact, True, False), (p, exact, True, True)} <= seen
+    assert Series.zero(5).frobenius() == Series.zero(5)
+
+
 def test_direct_constructions_keep_invariants_randomized():
     rng = random.Random(4242)
     G = TameCyclic.make(5, 4)

@@ -14,7 +14,7 @@ from apxval.envelope import envelope_law
 from apxval.hahn import Series, p_power_denominators
 from apxval.ordval import Cut, scale_cut, shift_cut
 from apxval.parsing import parse_poly
-from apxval.valpoly import ValPoly, formal_derivative
+from apxval.valpoly import ValPoly, formal_derivative, taylor_coefficients
 from apxval.apprtype import ApproxType, Fixed
 from apxval.curated import (
     generic_immediate_type,
@@ -438,8 +438,9 @@ def test_sampled_law_never_reads_the_taylor_powers():
 
 
 def test_sampled_powers_equal_the_taylor_powers():
-    # c^k by the halving split against c^(k-1) * c: the mul kernel must be
-    # associative on the approximants
+    # c^k by the Frobenius map where p divides k and by the halving split
+    # elsewhere, against c^(k-1) * c: the Frobenius image must equal the
+    # product, and the mul kernel must be associative on the approximants
     for p in (2, 3):
         A = theta_type(p, precision=12)
         for f in _law_polys(p):
@@ -454,6 +455,31 @@ def test_sampled_powers_equal_the_taylor_powers():
         assert A._sampled_powers[-2] == A._powers[-1] != []
         x = A.target
         assert A._sampled_powers[-1] == [x**k for k in range(1, p + 4)]
+
+
+def test_taylor_route_never_calls_frobenius(monkeypatch):
+    # the Taylor tables build c^k as c^(k-1) * c, so only the sampled
+    # route's powers come from the Frobenius map
+    def tripwire(y):
+        raise AssertionError("frobenius called")
+
+    for p in (2, 3):
+        want = [
+            theta_type(p, precision=12).taylor_intercepts(f)
+            for f in _law_polys(p)
+        ]
+        monkeypatch.setattr(Series, "frobenius", tripwire)
+        A = theta_type(p, precision=12)
+        for f, intercepts in zip(_law_polys(p), want):
+            assert intercepts is not None
+            assert A.taylor_intercepts(f) == intercepts
+            for c in A.approximants:
+                taylor_coefficients(f, c)
+        assert max(map(len, A._powers)) > p
+        # the sampled route does reach it
+        with pytest.raises(AssertionError, match="frobenius called"):
+            sampled_law(A, _law_polys(p)[0])
+        monkeypatch.undo()
 
 
 def test_second_rel_degree_grows_no_power_list():

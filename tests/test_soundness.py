@@ -3,7 +3,10 @@ term it cannot know.  Each trial draws exact operands, truncates them at
 random precisions, and checks that op(truncated) equals op(exact) at every
 exponent below op(truncated).precision, which is what ``==`` against the
 exact result truncated there states.  At the law level, a deeper
-truncation of the theta target gives the same (h, beta) or a refusal."""
+truncation of the theta target gives the same (h, beta) or a refusal.
+
+Tightness: how much precision a kernel gives away against a known-true
+bound, measured so far for ``frobenius``."""
 
 import random
 from fractions import Fraction
@@ -56,6 +59,7 @@ def test_truncated_operands_give_sound_results_randomized():
             ("-", ta - tb, a - b),
             ("*", ta * tb, a * b),
             ("**", ta ** 3, a ** 3),
+            ("frobenius", ta.frobenius(), a.frobenius()),
         ]
         xs = [exact_series(rng, p) for _ in range(3)]
         ys = [exact_series(rng, p) for _ in range(3)]
@@ -81,6 +85,31 @@ def test_truncated_operands_give_sound_results_randomized():
             assert sound(got, want), (op, p, a, b, ta, tb, got, want)
         checked += len(pairs)
     assert checked > 6000
+
+
+def test_frobenius_precision_against_the_true_bound_randomized():
+    # (y + e)^p = y^p + e^p, so the image of a truncated y is known below
+    # p * prec(y); frobenius claims the product chain's (p - 1) v(y) +
+    # prec(y), which gives away (p - 1) (prec(y) - v(y)) when y has terms
+    rng = random.Random(20140917)
+    gaps = lost = 0
+    for trial in range(800):
+        p = (2, 3, 5, 7)[trial % 4]
+        y = exact_series(rng, p)
+        ty = truncated(rng, y)
+        if ty.precision is INF:
+            continue
+        true = p * ty.precision
+        image = Series.make(p, [(e * p, c) for e, c in ty.terms], true)
+        assert image == (y**p).truncate(true), (p, y, ty)
+        got = ty.frobenius()
+        gap = true - got.precision
+        assert gap == ((p - 1) * (ty.precision - ty.val()) if ty.terms else 0)
+        assert got == image.truncate(got.precision)
+        gaps += gap > 0
+        lost += len(image.terms) - len(got.terms)
+    # most operands have terms, and their images lose known terms
+    assert gaps > 400 and lost > 100
 
 
 def coeff_pairs(op, got, want):

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from apxval import hahn
 from apxval.errors import PreconditionError
 from apxval.hahn import Series, min_value
 from apxval.ordval import INF
@@ -254,8 +255,51 @@ def test_power_sum_equals_horner_randomized():
             assert power_sum(f, x, []) == ref
             assert f(x) == ref
         assert len(powers) == 12 and powers[0] is x
+    # degrees from 2p to p^2 at p = 5 and 7: x^p, x^(2p) and x^(p^2) are
+    # the Frobenius images of x, x^2 and x^p
+    for trial in range(40):
+        p = (5, 7)[trial % 2]
+        make = truncated_series if trial % 4 < 3 else random_series
+        x = make(rng, p)
+        powers = []
+        for deg in (2 * p, p * p, 2 * p + 1):
+            coeffs = [make(rng, p) for _ in range(deg)] + [Series.one(p)]
+            f = ValPoly(p, tuple(coeffs))
+            ref = horner(f, x)
+            assert power_sum(f, x, powers) == ref
+            assert power_sum(f, x, []) == ref
+        assert len(powers) == p * p
     assert power_sum(ValPoly.zero(3), Series.t(3), []) == Series.zero(3)
     assert ValPoly.zero(3)(Series.t(3)) == Series.zero(3)
+
+
+def test_power_sum_takes_powers_divisible_by_p_from_frobenius(monkeypatch):
+    # at p = 2 a fresh list for degree 4 forms one product, x^3 = x^2 * x,
+    # and the final dot: x^2 and x^4 are Frobenius images, no convolution
+    p = 2
+    x = Series.make(p, [(0, 1), (Fraction(1, 3), 1), (1, 1)], Fraction(4))
+    a = Series.make(p, [(0, 1), (Fraction(1, 2), 1)])
+    f = ValPoly(p, (a,) * 5)
+    convolved, images = [], []
+    convolve, frobenius = hahn._convolve, Series.frobenius
+
+    def counted_convolve(pairs, cutoff, p):
+        convolved.append(len(pairs))
+        return convolve(pairs, cutoff, p)
+
+    def counted_frobenius(y):
+        images.append(y)
+        return frobenius(y)
+
+    monkeypatch.setattr(hahn, "_convolve", counted_convolve)
+    monkeypatch.setattr(Series, "frobenius", counted_frobenius)
+    powers = []
+    got = power_sum(f, x, powers)
+    assert convolved == [1, 5]  # x^3, then the dot of five pairs
+    assert len(images) == 2
+    assert images[0] is powers[0] and images[1] is powers[1]
+    monkeypatch.undo()
+    assert got == horner(f, x)
 
 
 def test_f_adic_by_construction():
