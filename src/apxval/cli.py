@@ -41,28 +41,46 @@ from .curated import trace_pulldown_scenario
 from .corpus import run_corpus
 
 
-def _json_object(desc, what: str, keys: tuple[str, ...]) -> dict:
-    """``desc`` when it is a JSON object holding every key of ``keys``;
-    ValueError, a usage error, when it is not."""
+# the Python type json.load gives each JSON type; a bool is no integer here
+_JSON = {"string": str, "integer": int, "boolean": bool, "list": list,
+         "null": type(None)}
+
+
+def _json_object(desc, what: str, keys: dict, defaults=()) -> dict:
+    """``desc`` over ``defaults`` when it is a JSON object holding every key
+    of ``keys`` with a value of the JSON types ``keys`` names for it ("any"
+    admits every type); ValueError, a usage error, when it is not."""
     if not isinstance(desc, dict):
         raise ValueError(f"{what} must be a JSON object")
-    missing = [k for k in keys if k not in desc]
-    if missing:
-        raise ValueError(f"{what} lacks the key {missing[0]!r}")
+    desc = {**dict(defaults), **desc}
+    for key, kinds in keys.items():
+        if key not in desc:
+            raise ValueError(f"{what} lacks the key {key!r}")
+        types = [_JSON.get(k) for k in kinds.split(" or ")]
+        if kinds != "any" and type(desc[key]) not in types:
+            raise ValueError(f"{what} key {key!r} must be a JSON {kinds}")
     return desc
 
 
-def _load_type(path: str, cfg: SessionConfig) -> ApproxType:
+def _read_type(path: str) -> dict:
+    """The type file's keys, defaults filled in; a "p" not null is the
+    command's prime."""
     with open(path) as fh:
-        desc = _json_object(json.load(fh), "type description", ("target",))
-    p = desc.get("p", cfg.p)
-    target = parse_series(desc["target"], p)
-    ground = resolve_predicate(desc.get("ground", "Z[1/p]"), p)
-    hint = parse_cut(desc["hint"]) if desc.get("hint") else None
+        desc = json.load(fh)
+    keys = {"target": "string", "ground": "string", "hint": "string or null",
+            "transcendental": "boolean", "p": "integer or null"}
+    defaults = {"ground": "Z[1/p]", "hint": None, "transcendental": False, "p": None}
+    return _json_object(desc, "type description", keys, defaults)
+
+
+def _load_type(desc: dict, cfg: SessionConfig) -> ApproxType:
+    target = parse_series(desc["target"], cfg.p)
+    ground = resolve_predicate(desc["ground"], cfg.p)
+    hint = parse_cut(desc["hint"]) if desc["hint"] else None
     return ApproxType.from_truncations(
         target,
         ground,
-        transcendental=bool(desc.get("transcendental", False)),
+        transcendental=desc["transcendental"],
         distance_hint=hint,
         window=cfg.window,
         tail_depth=cfg.tail_depth,
@@ -139,14 +157,13 @@ def cmd_factor_shape(args, cfg, A, f):
 
 
 def cmd_envelope(args, cfg):
-    keys = ("approach", "items")
+    keys = {"approach": "string", "items": "list"}
     desc = _json_object(json.loads(args.family), "family", keys)
     approach = parse_cut(desc["approach"])
-    if not isinstance(desc["items"], list):
-        raise ValueError("family items must be a JSON list")
     items = []
     for it in desc["items"]:
-        it = _json_object(it, "family item", ("i", "intercept", "slope"))
+        keys = {"i": "integer", "intercept": "any", "slope": "integer"}
+        it = _json_object(it, "family item", keys)
         items.append((it["i"], parse_value(str(it["intercept"])), it["slope"]))
     fam = AffineFamily.make(items, approach)
     order = eventual_order(fam)
@@ -261,8 +278,13 @@ def main(argv=None) -> int:
         cfg = SessionConfig()
         if args.config:
             cfg = load_config_file(args.config, cfg)
-        if args.p is not None:
-            cfg = replace(cfg, p=args.p)
+        # one prime per command: a type file's "p" is the command's prime
+        desc = _read_type(args.type) if "type" in args else {}
+        p = args.p if desc.get("p") is None else desc["p"]
+        if args.p not in (None, p):
+            raise ValueError(f"--p {args.p} differs from the type file's p {p}")
+        if p is not None:
+            cfg = replace(cfg, p=p)
         if args.depth is not None:
             cfg = replace(cfg, tail_depth=args.depth)
         cfg = cfg.validated()
@@ -272,7 +294,7 @@ def main(argv=None) -> int:
         # faults reports the first; an empty eval --poly means none
         inputs = []
         if "type" in args:
-            inputs.append(_load_type(args.type, cfg))
+            inputs.append(_load_type(desc, cfg))
         if "series" in args:
             inputs.append(parse_series(args.series, cfg.p))
         if "poly" in args and (args.poly or "type" in args):

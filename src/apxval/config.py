@@ -27,7 +27,8 @@ class SessionConfig:
 
 def load_config_file(path: str, base: SessionConfig) -> SessionConfig:
     """``base`` with the key = value lines of ``path`` applied; the keys are
-    SessionConfig's fields, and every one of them is an integer."""
+    SessionConfig's fields, and every one of them is an integer.  Not yet
+    validated: flags given on the command line still apply."""
     keys = {f.name for f in fields(SessionConfig)}
     updates = {}
     with open(path) as fh:
@@ -44,4 +45,4 @@ def load_config_file(path: str, base: SessionConfig) -> SessionConfig:
             if key not in keys:
                 raise PreconditionError(f"{path}:{lineno}: unknown key {key!r}")
             updates[key] = int(value.strip())
-    return replace(base, **updates).validated()
+    return replace(base, **updates)

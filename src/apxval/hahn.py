@@ -6,10 +6,11 @@ INF marks an exact element.  The valuation is the least stored exponent,
 with v(t) = 1 throughout.
 
 Exponents are stored as integers over one common denominator ``den`` per
-series, so the kernels (+, *, -, dot, frobenius, scale, shift, truncate,
-coeff, residue, invert) run on integers and rescale to lcm(den_a, den_b)
-where operand denominators differ.  ``frobenius`` is the p-th power with
-no product: over F_p, (sum c t^e)^p = sum c t^(p e).  ``Fraction``
+series, so the kernels (+, *, dot, frobenius, scale, truncate, coeff,
+residue, invert) run on integers and rescale to lcm(den_a, den_b) where
+operand denominators differ; negation is ``scale(-1)`` and ``shift`` a
+product with a monomial.  ``frobenius`` is the p-th power with no
+product: over F_p, (sum c t^e)^p = sum c t^(p e).  ``Fraction``
 appears only at the API boundary: the derived ``terms`` view, ``val()``,
 ``leading()``, precisions and subfield predicates.
 
@@ -71,14 +72,17 @@ def integers_predicate() -> SubfieldPredicate:
     return SubfieldPredicate("Z", lambda e: e.denominator == 1)
 
 
-def p_power_denominators(p: int) -> SubfieldPredicate:
-    def ok(e: Fraction) -> bool:
-        d = e.denominator
-        while d % p == 0:
-            d //= p
-        return d == 1
+def _prime_to_p(d: int, p: int) -> int:
+    """d with every factor p divided out."""
+    while d % p == 0:
+        d //= p
+    return d
 
-    return SubfieldPredicate(f"Z[1/{p}]", ok)
+
+def p_power_denominators(p: int) -> SubfieldPredicate:
+    return SubfieldPredicate(
+        f"Z[1/{p}]", lambda e: _prime_to_p(e.denominator, p) == 1
+    )
 
 
 def denominators_dividing(n: int) -> SubfieldPredicate:
@@ -87,14 +91,9 @@ def denominators_dividing(n: int) -> SubfieldPredicate:
 
 def lattice_p_power(n: int, p: int) -> SubfieldPredicate:
     """Exponents m/(n*p^j): the perfect hull of the degree-n ramified step."""
-
-    def ok(e: Fraction) -> bool:
-        d = e.denominator
-        while d % p == 0:
-            d //= p
-        return n % d == 0
-
-    return SubfieldPredicate(f"(1/{n})Z[1/{p}]", ok)
+    return SubfieldPredicate(
+        f"(1/{n})Z[1/{p}]", lambda e: n % _prime_to_p(e.denominator, p) == 0
+    )
 
 
 def all_rationals() -> SubfieldPredicate:
@@ -108,7 +107,7 @@ def resolve_predicate(name: str, p: int) -> SubfieldPredicate:
         return p_power_denominators(p)
     if name == "Q":
         return all_rationals()
-    if name.startswith("div"):
+    if name.startswith("div") and name[3:].isdecimal() and int(name[3:]) > 0:
         return denominators_dividing(int(name[3:]))
     raise PreconditionError(f"unknown subfield predicate {name!r}")
 
@@ -296,13 +295,7 @@ class Series:
         return _from_ints(p, den, tuple(_below(out, _cutoff(prec, den))), prec)
 
     def __neg__(self) -> "Series":
-        p = self.p
-        return _from_ints(
-            p,
-            self.den,
-            tuple([(k, (-c) % p) for k, c in self.ints]),
-            self.precision,
-        )
+        return self.scale(-1)
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
@@ -368,16 +361,7 @@ class Series:
 
     def shift(self, e) -> "Series":
         """Multiplication by the monomial t^e."""
-        e = Fraction(e)
-        prec = self.precision if self.precision is INF else self.precision + e
-        den = self.den
-        if den % e.denominator:
-            den = lcm(den, e.denominator)
-        f = den // self.den
-        d = e.numerator * (den // e.denominator)
-        return _from_ints(
-            self.p, den, tuple([(k * f + d, c) for k, c in self.ints]), prec
-        )
+        return self * Series.monomial(self.p, e)
 
     def frobenius(self) -> "Series":
         """self ** p with no product: in characteristic p with coefficients
@@ -747,18 +731,18 @@ def invert(a: Series, target_precision: GroupValue) -> Series:
     if va is INF:
         raise PreconditionError("cannot invert zero")
     p = a.p
+    # the leading term's inverse: the whole inverse of an exact monomial
+    lead_k, lead_c = a.ints[0]
+    unit = _from_ints(p, a.den, ((-lead_k, pow(lead_c, -1, p)),), INF)
     if target_precision is INF:
         if a.precision is not INF or len(a.ints) > 1:
             raise InsufficientPrecision("exact inverse needs a monomial")
-        k, c = a.ints[0]
-        return _from_ints(p, a.den, ((-k, pow(c, -1, p)),), INF)
+        return unit
     if a.precision is not INF and a.precision < target_precision:
         raise InsufficientPrecision(
             f"precision {a.precision} below target {target_precision}"
         )
     # normalize to 1 + u with v(u) > 0, then sum the geometric series
-    lead_k, lead_c = a.ints[0]
-    unit = _from_ints(p, a.den, ((-lead_k, pow(lead_c, -1, p)),), INF)
     rel = target_precision - va
     b = (a * unit).truncate(rel)
     one = Series.one(p)

@@ -264,50 +264,6 @@ def coefficient_dist_law(A: ApproxType, h: int, d: Series) -> Cut:
     return shift_cut(d.val(), scale_cut(h, A.distance()))
 
 
-def greedy_proxy(
-    A: ApproxType, y: Series, max_degree: int
-) -> Optional[ValPoly]:
-    """Best-effort search for f with v(y - f(x)) beyond every observed
-    approximant value of y: greedily match leading terms with monomials in
-    x.  Failure returns None; it is a search miss, not an error."""
-    p = y.p
-    x = A.target
-    rem = y
-    acc = ValPoly.zero(p)
-    powers = [ValPoly(p, (Series.one(p),))]
-    for _ in range(max_degree):
-        powers.append(powers[-1] * ValPoly.X(p))
-    # x^k with its value, for each k whose value is determinate
-    xks = []
-    for k in range(max_degree, -1, -1):
-        xk = x ** k
-        try:
-            xks.append((k, xk, xk.val()))
-        except IndeterminateValuation:
-            continue
-    for _ in range(16):
-        try:
-            v = rem.val()
-        except IndeterminateValuation:
-            break
-        if v is INF:
-            break
-        e, c = rem.leading()
-        for k, xk, vk in xks:
-            if vk <= e and A.ground(e - vk):
-                lead_c = xk.leading()[1]
-                coeff = Series.monomial(
-                    p, e - vk, (c * pow(lead_c, -1, p)) % p
-                )
-                term = powers[k].scale(coeff)
-                acc = acc + term
-                rem = rem - term(x)
-                break
-        else:
-            return None
-    return acc
-
-
 def check_multiplicativity(A: ApproxType, f: ValPoly, g: ValPoly) -> bool:
     """h(x : g o f) = h(x : f) * h(f(x) : g), both sides independent."""
     rd_f = rel_degree(A, f)
@@ -389,10 +345,7 @@ def reduced_factor_shape(
         coeffs[0] = coeffs[0] - a_i * x0 ** i
     if _value_or_precision(coeffs[0]) < 0:
         raise PreconditionError("constant term is not integral")
-    residues = []
-    for i in range(f.degree() + 1):
-        s = coeffs.get(i, Series.zero(p))
-        residues.append(s.residue() if not s.is_exact_zero else 0)
+    residues = [coeffs[i].residue() for i in range(f.degree() + 1)]
     r = x0.residue()
     expected = _power_of_linear(p, r, h, f.degree())
     if residues != expected:

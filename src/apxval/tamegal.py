@@ -20,17 +20,8 @@ from .errors import (
     InternalInconsistency,
     PreconditionError,
 )
-from .hahn import Series, _from_ints, dot, invert
+from .hahn import Series, _from_ints, _prime_to_p, dot, invert
 from .ordval import INF, GroupValue
-
-
-def _split_denominator(den: int, p: int) -> tuple[int, int]:
-    """den = p^J * rest with gcd(rest, p) = 1; returns (p^J, rest)."""
-    pj = 1
-    while den % p == 0:
-        den //= p
-        pj *= p
-    return pj, den
 
 
 @dataclass(frozen=True)
@@ -58,7 +49,9 @@ class TameCyclic:
         """s_part of the exponent k/den, not necessarily in lowest terms."""
         g = gcd(k, den)
         k, den = k // g, den // g
-        pj, rest = _split_denominator(den, self.p)
+        # den = p^J * rest with gcd(rest, p) = 1
+        rest = _prime_to_p(den, self.p)
+        pj = den // rest
         if self.n % rest != 0:
             raise PreconditionError(
                 f"exponent {Fraction(k, den)} does not lie in the "

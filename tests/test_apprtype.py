@@ -222,6 +222,38 @@ def test_kaplansky_extend_linear_and_constant():
     assert A.kaplansky_extend(ValPoly(p, (k,))) == -2
 
 
+class _ValueTable:
+    """Stands in for a polynomial of degree 2 through its values: the type's
+    target maps to t^at_target and approximant n to t^at[n]."""
+
+    is_zero = False
+
+    def __init__(self, A, at_target, at):
+        p = A.target.p
+        self.table = {c: Series.monomial(p, v) for c, v in zip(A.approximants, at)}
+        self.table[A.target] = Series.monomial(p, at_target)
+
+    def degree(self):
+        return 2
+
+    def __call__(self, s):
+        return self.table[s]
+
+
+@pytest.mark.parametrize("window, fixed", [(4, False), (3, True)])
+def test_the_window_reads_exactly_window_values(window, fixed):
+    # the values end in [1, 2, 2, 2]: the last 4 differ and the last 3 agree
+    # with v(g(target)) = 2, so reading one value fewer would fix the value
+    A = replace(theta_type(2, transcendental=True), window=window)
+    values = [1] * (len(A.approximants) - 3) + [2, 2, 2]
+    g = _ValueTable(A, 2, values)
+    if fixed:
+        assert A.kaplansky_extend(g) == 2
+    else:
+        with pytest.raises(MarkerViolation, match="not fixed"):
+            A.kaplansky_extend(g)
+
+
 def test_kaplansky_requires_marker():
     p = 3
     A = theta_type(p)

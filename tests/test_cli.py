@@ -98,6 +98,15 @@ def test_a_hint_that_an_outside_exponent_contradicts_exits_1(
     assert "outside the ground" in err
 
 
+# a well-formed type file, and a one-item envelope family with keys replaced
+_T3 = {"p": 3, "target": "t^(-1/3) + t^(-1/9) + O(t)", "hint": "(<0)"}
+
+
+def _family(**item):
+    item = {"i": 1, "intercept": 0, "slope": 1, **item}
+    return {"approach": "(+inf)", "items": [item]}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -110,12 +119,30 @@ def test_a_hint_that_an_outside_exponent_contradicts_exits_1(
             "lacks the key 'intercept'",
         ),
         (["envelope", {"approach": "(+inf)", "items": 3}], "must be a JSON list"),
+        (["dist", "--type", {**_T3, "target": 5}], "'target' must be a JSON string"),
+        (["dist", "--type", {**_T3, "ground": 3}], "'ground' must be a JSON string"),
+        (
+            ["dist", "--type", {**_T3, "transcendental": "false"}],
+            "'transcendental' must be a JSON boolean",
+        ),
+        (["dist", "--type", {**_T3, "hint": 0}], "'hint' must be a JSON string or"),
+        (["dist", "--type", {**_T3, "p": "3"}], "'p' must be a JSON integer or null"),
+        (["dist", "--type", {**_T3, "p": True}], "'p' must be a JSON integer or null"),
+        (["envelope", _family(slope=1.5)], "'slope' must be a JSON integer"),
+        (["envelope", _family(slope="1")], "'slope' must be a JSON integer"),
+        (["envelope", _family(i=[1])], "'i' must be a JSON integer"),
+        (["envelope", _family(i=True)], "'i' must be a JSON integer"),
+        (["envelope", {"approach": 0, "items": []}], "'approach' must be a JSON"),
     ],
     ids=["no-target", "type-list", "no-approach", "family-list", "no-intercept",
-         "items-number"],
+         "items-number", "target-number", "ground-number", "transcendental-string",
+         "hint-number", "p-string", "p-bool", "slope-float", "slope-string",
+         "i-list", "i-bool", "approach-number"],
 )
 def test_a_malformed_json_shape_is_a_usage_error(capsys, tmp_path, argv, message):
-    # each of these once ended in a KeyError, TypeError or AttributeError
+    # each of these once ended in a KeyError, TypeError or AttributeError,
+    # or was read as another value: "false" as true, a hint 0 as none, an
+    # index [1] echoed back as the argmin
     *head, desc = argv
     if head[-1] == "--type":
         path = tmp_path / "type.json"
@@ -126,6 +153,68 @@ def test_a_malformed_json_shape_is_a_usage_error(capsys, tmp_path, argv, message
     code, out, err = run_cli(capsys, "--p", "3", *head, desc)
     assert (code, out) == (2, "")
     assert err.startswith("usage error:") and message in err
+
+
+def _p5_type_file(tmp_path, **keys):
+    desc = {
+        "p": 5,
+        "target": "t^(-1/5) + t^(-1/25) + t^(-1/125) + t^(-1/625) + O(t^1)",
+        "ground": "Z[1/p]",
+        "hint": "(<0)",
+        **keys,
+    }
+    path = tmp_path / "t5.json"
+    path.write_text(json.dumps(desc))
+    return str(path)
+
+
+@pytest.mark.parametrize("flags", [[], ["--p", "5"]])
+def test_a_type_files_p_is_the_commands_prime(capsys, tmp_path, flags):
+    # --poly was read at the default p = 3: "mixed primes 3 and 5" (exit 1)
+    code, out, err = run_cli(
+        capsys, *flags, "reldeg", "--type", _p5_type_file(tmp_path),
+        "--poly", "X^5 + 4*X + (4*t^(-1))",
+    )
+    assert (code, out, err) == (0, "h = 5, beta = 0\n", "")
+
+
+def test_factor_shape_scales_at_the_type_files_prime(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "--json", "factor-shape", "--type", _p5_type_file(tmp_path),
+        "--poly", "X^5 + 4*X + (4*t^(-1))",
+    )
+    assert code == 0
+    assert json.loads(out)["residue_coeffs"][5] == 1
+
+
+def test_a_p_flag_that_differs_from_the_type_file_is_a_usage_error(
+    capsys, tmp_path
+):
+    code, out, err = run_cli(
+        capsys, "--p", "3", "dist", "--type", _p5_type_file(tmp_path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and "differs" in err
+
+
+@pytest.mark.parametrize("p", [4, 6, 0, 1, -5])
+def test_a_type_files_p_is_validated_as_the_flag_is(capsys, tmp_path, p):
+    # 4 and 6 gave a distance over a ring that is not a field, 0 a
+    # ZeroDivisionError
+    code, out, err = run_cli(capsys, "dist", "--type", _p5_type_file(tmp_path, p=p))
+    assert (code, out) == (1, "")
+    assert err == f"check failed: p must be prime, got {p}\n"
+
+
+@pytest.mark.parametrize("ground", ["div0", "div-2", "divx", "div"])
+def test_a_ground_div_without_a_positive_integer_is_refused(
+    capsys, tmp_path, ground
+):
+    # div0 admitted every exponent
+    path = _p5_type_file(tmp_path, ground=ground)
+    code, out, err = run_cli(capsys, "dist", "--type", path)
+    assert (code, out) == (1, "")
+    assert err == f"check failed: unknown subfield predicate {ground!r}\n"
 
 
 def test_reldeg_subcommand(capsys, tmp_path):
@@ -446,6 +535,15 @@ def test_main_returns_1_on_retired_config_key(capsys, tmp_path, key):
     assert out == ""
     assert err.startswith("check failed:")
     assert f"unknown key '{key}'" in err
+
+
+def test_config_file_is_validated_after_the_flags(capsys, tmp_path):
+    # flags win: a config p that --p overrides is never checked
+    cfg = tmp_path / "session.cfg"
+    cfg.write_text("p = 4\n")
+    assert load_config_file(str(cfg), SessionConfig()).p == 4
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "--p", "5", "eval", "t")
+    assert (code, out) == (0, "t  (v = 1)\n")
 
 
 @pytest.mark.parametrize("text", ["p = 4\n", "window = 0\n"])

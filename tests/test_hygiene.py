@@ -1,16 +1,19 @@
 """Source hygiene: every name a library module imports is used in it, every
 module it imports is in the standard library, every private function
-or method is referenced somewhere in the library, the product routes
+or method is referenced somewhere in the library, every public one is
+read outside the tests or named in an allow-list, the product routes
 are chosen in one place, a precision trims sorted terms in one place, and
 the window rule of the law layer is read in one place."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "apxval"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "apxval"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -132,6 +135,103 @@ def test_unreferenced_private_check_flags_what_it_should():
     }
     assert unreferenced_private_functions(sources) == [
         ("a.py", "_dead", 1), ("a.py", "_unused", 10),
+    ]
+
+
+def unread_public_functions(library, readers):
+    """(file, qualified name, line) for each public module-level function or
+    method of ``library`` (file name -> source) that no code reads outside
+    its own definition, as a name or an attribute: neither in ``library``
+    nor in ``readers`` (more sources).  A mention in a docstring or a string
+    is not a read."""
+
+    def reads(node):
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)
+        )
+
+    total, defs = Counter(), []
+    for path, source in library.items():
+        tree = ast.parse(source)
+        total += reads(tree)
+        for node in tree.body:
+            prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            body = node.body if prefix else [node]
+            defs += [
+                (path, prefix + d.name, d)
+                for d in body
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not d.name.startswith("_")
+            ]
+    for source in readers:
+        total += reads(ast.parse(source))
+    return [
+        (path, name, d.lineno)
+        for path, name, d in defs
+        if total[d.name] == reads(d)[d.name]
+    ]
+
+
+# public names only the tests read, each with the reason it stays
+TEST_ONLY_NAMES = {
+    "apprtype.py:ApproxType.same_type":
+        "Kaplansky's equivalence of approximation types: v(x - x') >= dist",
+    "apprtype.py:ApproxType.verify_not_fixed_for_minpoly":
+        "checks a claimed minimal polynomial against the type's values",
+    "hahn.py:truncate_to_subfield":
+        "the ground truncation below a value, certified to lie in the ground",
+    "reldeg.py:rel_degree_general":
+        "the value law of any polynomial through its f-adic digits",
+    "valpoly.py:ValPoly.X":
+        "the polynomial X, the ring generator polynomials are built from",
+}
+
+
+def test_every_public_function_is_read_outside_the_tests():
+    # the library, the scripts, the benchmark and the acceptance criteria
+    # read the public API; a name only the unit tests read is dead code
+    # unless it is named, with its reason, in TEST_ONLY_NAMES
+    library = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = [
+        p.read_text()
+        for p in [
+            *sorted((ROOT / "scripts").rglob("*.py")),
+            *sorted((ROOT / "perfbench").rglob("*.py")),
+            ROOT / "tests" / "test_acceptance.py",
+        ]
+    ]
+    found = {
+        f"{path}:{name}" for path, name, _ in unread_public_functions(library, readers)
+    }
+    assert found == set(TEST_ONLY_NAMES)
+
+
+def test_unread_public_check_flags_what_it_should():
+    library = {
+        "a.py": (
+            '"""Mentions mentioned() in a docstring."""\n'
+            "def dead(): pass\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "def mentioned(): return 'mentioned'\n"
+            "def live(): pass\n"
+            "def _private(): pass\n"
+            "class C:\n"
+            "    def used(self): return live()\n"
+            "    def unused(self): pass\n"
+            "    def __repr__(self): return self.used()\n"
+            "def outside(): pass\n"
+            "unused = 1\n"
+        ),
+        "b.py": "from .a import dead\n",
+    }
+    readers = ["import a\na.outside()\n"]
+    assert unread_public_functions(library, readers) == [
+        ("a.py", "dead", 2), ("a.py", "recursive", 3), ("a.py", "mentioned", 5),
+        ("a.py", "C.unused", 10),
     ]
 
 

@@ -29,7 +29,6 @@ from apxval.reldeg import (
     check_multiplicativity,
     coefficient_dist_law,
     combine_same_degree,
-    greedy_proxy,
     h_upper_bound_from_coeffs,
     reduced_factor_shape,
     rel_degree,
@@ -248,17 +247,6 @@ def test_rel_degree_proxy_independence():
     g = f + ValPoly(p, (Series.zero(p), Series.monomial(p, 10)))
     rd2 = rel_degree(A, g)
     assert (rd1.h, rd1.beta) == (rd2.h, rd2.beta)
-
-
-def test_greedy_proxy_recovers_polynomial():
-    p = 3
-    A = theta_type(p)
-    x = A.target
-    y = x * x + Series.t(p) * x
-    prox = greedy_proxy(A, y, 2)
-    assert prox is not None
-    diff = y - prox(x)
-    assert diff.is_exact_zero or not diff.terms
 
 
 def test_multiplicativity_linear_right_factor():
