@@ -7,6 +7,7 @@ Values come from CLI flags with an optional key=value file override
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from math import isqrt
 
 from .errors import PreconditionError
 
@@ -18,8 +19,9 @@ class SessionConfig:
     tail_depth: int = 6
 
     def validated(self) -> "SessionConfig":
-        if self.p < 2 or any(self.p % k == 0 for k in range(2, self.p)):
-            raise PreconditionError(f"p must be prime, got {self.p}")
+        p = self.p
+        if p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
+            raise PreconditionError(f"p must be prime, got {p}")
         if self.window < 1 or self.tail_depth < 1:
             raise PreconditionError("depth knobs must be positive")
         return self

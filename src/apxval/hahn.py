@@ -5,14 +5,21 @@ precision bound: terms with exponent >= precision are unknown.  Precision
 INF marks an exact element.  The valuation is the least stored exponent,
 with v(t) = 1 throughout.
 
-Exponents are stored as integers over one common denominator ``den`` per
-series, so the kernels (+, *, dot, frobenius, scale, truncate, coeff,
-residue, invert) run on integers and rescale to lcm(den_a, den_b) where
-operand denominators differ; negation is ``scale(-1)`` and ``shift`` a
-product with a monomial.  ``frobenius`` is the p-th power with no
-product: over F_p, (sum c t^e)^p = sum c t^(p e).  ``Fraction``
-appears only at the API boundary: the derived ``terms`` view, ``val()``,
-``leading()``, precisions and subfield predicates.
+The terms are stored as two parallel tuples of ints of one length:
+``exps``, the exponents as integers over one common denominator ``den``
+per series, strictly increasing, and ``coeffs``, their coefficients in
+1..p-1.  No term is a tuple of its own, so a dense product decodes its
+slots straight into the two tuples.  The kernels (+, *, dot, frobenius,
+scale, truncate, coeff, residue, invert) run on these integers, and inside
+them an operand is an (exps, coeffs) pair.  Where operand denominators
+differ the exponents are rescaled to lcm(den_a, den_b); the coefficients
+never depend on the denominator, and a kernel that keeps the exponents
+(``scale``) or the coefficients (``frobenius``, a shift by t^e) reuses
+that tuple.  Negation is ``scale(-1)`` and ``shift`` a product with a
+monomial.  ``frobenius`` is the p-th power with no product: over F_p,
+(sum c t^e)^p = sum c t^(p e).  ``Fraction`` appears only at the API
+boundary: the derived ``terms`` view, ``val()``, ``leading()``,
+precisions and subfield predicates.
 
 Products (``*`` and ``dot``) have three routes.  Where the exponents lie
 dense on the common denominator, one big product per operand pair forms
@@ -26,8 +33,8 @@ multi-term series is ``dot`` of one pair, and ``dot`` reaches the routes
 through ``_convolve`` alone, where one fixed cost rule, stated at
 ``_kronecker``, picks the route; all three give the same series.
 
-A precision trims a sorted term tuple in one place, ``_below``, at the
-integer cut ``_cutoff`` gives.
+A precision trims the terms in one place, ``_below``, at the integer cut
+``_cutoff`` gives.
 """
 
 from __future__ import annotations
@@ -37,9 +44,8 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import itemgetter
 from sys import byteorder as _ORDER
 from typing import Callable, Iterable, Sequence
 
@@ -113,10 +119,10 @@ def resolve_predicate(name: str, p: int) -> SubfieldPredicate:
 
 
 class Series:
-    """A truncated Hahn series: terms c * t^(k/den) stored as the tuple
-    ``ints`` of integer pairs (k, c), sorted by strictly increasing k, with
-    coefficients in 1..p-1 and every exponent k/den strictly below
-    ``precision``.
+    """A truncated Hahn series: terms c * t^(k/den) stored as two tuples
+    of ints of one length, ``exps`` (the k, strictly increasing) and
+    ``coeffs`` (the c, in 1..p-1), with every exponent k/den strictly
+    below ``precision``.
 
     ``den`` is a common exponent denominator, not necessarily the least
     one: equality and hashing do not depend on it.  ``terms`` is the
@@ -124,7 +130,7 @@ class Series:
     Instances are immutable.
     """
 
-    __slots__ = ("p", "den", "ints", "precision")
+    __slots__ = ("p", "den", "exps", "coeffs", "precision")
 
     def __init__(
         self,
@@ -137,14 +143,11 @@ class Series:
         if not isinstance(terms, (tuple, list)):
             terms = tuple(terms)
         den = lcm(*{e.denominator for e, _ in terms})
-        _set(self, "p", p)
-        _set(self, "den", den)
-        _set(
-            self,
-            "ints",
-            tuple([(e.numerator * (den // e.denominator), c) for e, c in terms]),
-        )
-        _set(self, "precision", precision)
+        _P(self, p)
+        _DEN(self, den)
+        _EXPS(self, tuple([e.numerator * (den // e.denominator) for e, _ in terms]))
+        _COEFFS(self, tuple([c for _, c in terms]))
+        _PREC(self, precision)
 
     @staticmethod
     def make(
@@ -161,17 +164,16 @@ class Series:
         for e, c in pairs:
             k = e.numerator * (den // e.denominator)
             acc[k] = acc.get(k, 0) + c
-        kept = [(k, c) for k in sorted(acc) if (c := acc[k] % p)]
-        kept = _below(kept, _cutoff(precision, den))
-        return _from_ints(p, den, tuple(kept), precision)
+        exps, coeffs = _below(*_reduced(acc, p), _cutoff(precision, den))
+        return _from_ints(p, den, exps, coeffs, precision)
 
     @staticmethod
     def zero(p: int, precision: GroupValue = INF) -> "Series":
-        return _from_ints(p, 1, (), precision)
+        return _from_ints(p, 1, (), (), precision)
 
     @staticmethod
     def one(p: int) -> "Series":
-        return _from_ints(p, 1, ((0, 1),), INF)
+        return _from_ints(p, 1, (0,), (1,), INF)
 
     @staticmethod
     def monomial(p: int, e, c: int = 1, precision: GroupValue = INF) -> "Series":
@@ -184,11 +186,11 @@ class Series:
     @property
     def terms(self) -> tuple[tuple[Fraction, int], ...]:
         den = self.den
-        return tuple([(_fraction(k, den), c) for k, c in self.ints])
+        return tuple(zip(map(_fraction, self.exps, repeat(den)), self.coeffs))
 
     @property
     def is_exact_zero(self) -> bool:
-        return not self.ints and self.precision is INF
+        return not self.exps and self.precision is INF
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -197,14 +199,13 @@ class Series:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return _from_ints, (self.p, self.den, self.ints, self.precision)
+        return _from_ints, (self.p, self.den, self.exps, self.coeffs, self.precision)
 
     def _canonical(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(den, ints) over the least common exponent denominator."""
-        g = gcd(self.den, *[k for k, _ in self.ints])
-        if g == 1:
-            return self.den, self.ints
-        return self.den // g, tuple([(k // g, c) for k, c in self.ints])
+        """(den, the terms as (k, c) pairs) over the least common exponent
+        denominator."""
+        g = gcd(self.den, *self.exps)
+        return self.den // g, tuple(zip([k // g for k in self.exps], self.coeffs))
 
     def __eq__(self, other):
         if other.__class__ is not Series:
@@ -212,11 +213,11 @@ class Series:
         if (
             self.p != other.p
             or self.precision != other.precision
-            or len(self.ints) != len(other.ints)
+            or self.coeffs != other.coeffs
         ):
             return False
         if self.den == other.den:
-            return self.ints == other.ints
+            return self.exps == other.exps
         return self._canonical() == other._canonical()
 
     def __hash__(self):
@@ -229,8 +230,8 @@ class Series:
         )
 
     def val(self) -> GroupValue:
-        if self.ints:
-            return _fraction(self.ints[0][0], self.den)
+        if self.exps:
+            return _fraction(self.exps[0], self.den)
         if self.precision is INF:
             return INF
         raise IndeterminateValuation(
@@ -244,26 +245,27 @@ class Series:
         return self._coeff_at(e.numerator * (self.den // e.denominator))
 
     def _coeff_at(self, k: int) -> int:
-        ints = self.ints
-        i = bisect_left(ints, k, key=_EXP)
-        return ints[i][1] if i < len(ints) and ints[i][0] == k else 0
+        exps = self.exps
+        i = bisect_left(exps, k)
+        return self.coeffs[i] if i < len(exps) and exps[i] == k else 0
 
     def leading(self) -> tuple[Fraction, int]:
-        if not self.ints:
+        if not self.exps:
             raise IndeterminateValuation("no leading term")
-        k, c = self.ints[0]
-        return _fraction(k, self.den), c
+        return _fraction(self.exps[0], self.den), self.coeffs[0]
 
     def prefix(self, k: int) -> "Series":
         """The exact series of the first k terms."""
-        return _from_ints(self.p, self.den, self.ints[:k], INF)
+        return _from_ints(self.p, self.den, self.exps[:k], self.coeffs[:k], INF)
 
     def _require_same_p(self, other: "Series"):
         if self.p != other.p:
             raise PreconditionError(f"mixed primes {self.p} and {other.p}")
 
     def __add__(self, other: "Series") -> "Series":
-        """Linear merge of the two integer term tuples.
+        """Both operands cut at the sum's precision, then concatenated where
+        their exponent ranges do not overlap and merged by index where they
+        do.
 
         Relies on each operand's invariants (sorted, reduced, below its
         precision); the result then has them too.
@@ -271,28 +273,37 @@ class Series:
         self._require_same_p(other)
         p = self.p
         prec = min_value(self.precision, other.precision)
-        den, a, b = _common(self, other)
-        out: list[tuple[int, int]] = []
+        den, ea, eb = _common(self, other)
+        cut = _cutoff(prec, den)
+        ea, ca = _below(ea, self.coeffs, cut)
+        eb, cb = _below(eb, other.coeffs, cut)
+        if not ea or (eb and eb[-1] < ea[0]):
+            return _from_ints(p, den, eb + ea, cb + ca, prec)
+        if not eb or ea[-1] < eb[0]:
+            return _from_ints(p, den, ea + eb, ca + cb, prec)
+        exps, coeffs = [], []
         i = j = 0
-        na, nb = len(a), len(b)
+        na, nb = len(ea), len(eb)
         while i < na and j < nb:
-            ea, ca = a[i]
-            eb, cb = b[j]
-            if ea < eb:
-                out.append(a[i])
+            x, y = ea[i], eb[j]
+            if x < y:
+                exps.append(x)
+                coeffs.append(ca[i])
                 i += 1
-            elif eb < ea:
-                out.append(b[j])
+            elif y < x:
+                exps.append(y)
+                coeffs.append(cb[j])
                 j += 1
             else:
-                c = (ca + cb) % p
+                c = (ca[i] + cb[j]) % p
                 if c:
-                    out.append((ea, c))
+                    exps.append(x)
+                    coeffs.append(c)
                 i += 1
                 j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return _from_ints(p, den, tuple(_below(out, _cutoff(prec, den))), prec)
+        exps += ea[i:] + eb[j:]
+        coeffs += ca[i:] + cb[j:]
+        return _from_ints(p, den, tuple(exps), tuple(coeffs), prec)
 
     def __neg__(self) -> "Series":
         return self.scale(-1)
@@ -308,22 +319,23 @@ class Series:
         Relies on each operand's invariants, as ``dot`` does.
         """
         self._require_same_p(other)
-        if len(self.ints) > 1 and len(other.ints) > 1:
+        if len(self.exps) > 1 and len(other.exps) > 1:
             return dot((self,), (other,))
         p = self.p
         prec = self._mul_precision(other)
-        if not self.ints or not other.ints:
-            return _from_ints(p, 1, (), prec)
+        if not self.exps or not other.exps:
+            return _from_ints(p, 1, (), (), prec)
         # one term: shift and scale the other operand, no sort needed
-        den, a, b = _common(self, other)
-        if len(a) != 1:
-            a, b = b, a
-        ((e, ce),) = a
+        den, ea, eb = _common(self, other)
+        ca, cb = self.coeffs, other.coeffs
+        if len(ea) != 1:
+            ea, ca, eb, cb = eb, cb, ea, ca
+        (e,), (c,) = ea, ca
         cut = _cutoff(prec, den)
-        kept = _below(b, None if cut is None else cut - e)
-        return _from_ints(
-            p, den, tuple([(k + e, ck * ce % p) for k, ck in kept]), prec
-        )
+        eb, cb = _below(eb, cb, None if cut is None else cut - e)
+        if c != 1:
+            cb = tuple([x * c % p for x in cb])
+        return _from_ints(p, den, tuple([k + e for k in eb]), cb, prec)
 
     def _mul_precision(self, other: "Series") -> GroupValue:
         """min(v(a) + prec(b), v(b) + prec(a)) over the truncated operands,
@@ -333,11 +345,11 @@ class Series:
         a ``Fraction``."""
         sp, op = self.precision, other.precision
         if sp is INF:
-            if op is INF or not self.ints:
+            if op is INF or not self.exps:
                 return INF
             n, d = _low_plus(self, op)
         elif op is INF:
-            if not other.ints:
+            if not other.exps:
                 return INF
             n, d = _low_plus(other, sp)
         else:
@@ -351,13 +363,9 @@ class Series:
         p = self.p
         c %= p
         if c == 0:
-            return _from_ints(p, 1, (), self.precision)
-        return _from_ints(
-            p,
-            self.den,
-            tuple([(k, (cc * c) % p) for k, cc in self.ints]),
-            self.precision,
-        )
+            return _from_ints(p, 1, (), (), self.precision)
+        coeffs = tuple([x * c % p for x in self.coeffs])
+        return _from_ints(p, self.den, self.exps, coeffs, self.precision)
 
     def shift(self, e) -> "Series":
         """Multiplication by the monomial t^e."""
@@ -376,13 +384,14 @@ class Series:
         p, den, prec = self.p, self.den, self.precision
         if prec is not INF:
             n, d = prec.numerator, prec.denominator
-            if self.ints:
-                n, d = (p - 1) * self.ints[0][0] * d + n * den, den * d
+            if self.exps:
+                n, d = (p - 1) * self.exps[0] * d + n * den, den * d
             else:
                 n *= p
             prec = _fraction(n, d)
-        ints = tuple([(k * p, c) for k, c in self.ints])
-        return _from_ints(p, den, _below(ints, _cutoff(prec, den)), prec)
+        exps = tuple([k * p for k in self.exps])
+        exps, coeffs = _below(exps, self.coeffs, _cutoff(prec, den))
+        return _from_ints(p, den, exps, coeffs, prec)
 
     def __pow__(self, k: int) -> "Series":
         if k < 0:
@@ -398,11 +407,11 @@ class Series:
 
     def truncate(self, precision: GroupValue) -> "Series":
         prec = min_value(self.precision, precision)
-        den = self.den
-        return _from_ints(self.p, den, _below(self.ints, _cutoff(prec, den)), prec)
+        exps, coeffs = _below(self.exps, self.coeffs, _cutoff(prec, self.den))
+        return _from_ints(self.p, self.den, exps, coeffs, prec)
 
     def residue(self) -> int:
-        if self.ints and self.ints[0][0] < 0:
+        if self.exps and self.exps[0] < 0:
             raise PreconditionError("residue of a negative-value series")
         if self.precision is not INF and self.precision <= 0:
             raise InsufficientPrecision("precision does not reach exponent 0")
@@ -415,22 +424,23 @@ class Series:
 
 
 _new = object.__new__
-_set = object.__setattr__
-_EXP = itemgetter(0)
+# the slots' own setters, past the __setattr__ that refuses assignment
+_P, _DEN, _EXPS, _COEFFS, _PREC = [Series.__dict__[n].__set__ for n in Series.__slots__]
 # Fraction(k, den) for the boundary views; exponents recur across series
 _fraction = lru_cache(maxsize=1024)(Fraction)
 
 
 def _from_ints(
-    p: int, den: int, ints: tuple[tuple[int, int], ...], precision: GroupValue
+    p: int, den: int, exps: tuple[int, ...], coeffs: tuple[int, ...], precision
 ) -> Series:
-    """The trusted integer constructor: ``ints`` must already satisfy the
-    Series invariants over ``den``."""
+    """The trusted integer constructor: ``exps`` and ``coeffs`` must already
+    satisfy the Series invariants over ``den``."""
     s = _new(Series)
-    _set(s, "p", p)
-    _set(s, "den", den)
-    _set(s, "ints", ints)
-    _set(s, "precision", precision)
+    _P(s, p)
+    _DEN(s, den)
+    _EXPS(s, exps)
+    _COEFFS(s, coeffs)
+    _PREC(s, precision)
     return s
 
 
@@ -447,29 +457,32 @@ def _low_plus(s: Series, prec) -> tuple[int, int]:
     """v(s) + prec as an integer pair (numerator, positive denominator); a
     series without terms contributes its precision in place of v(s)."""
     n, d = prec.numerator, prec.denominator
-    if s.ints:
+    if s.exps:
         den = s.den
-        return s.ints[0][0] * d + n * den, den * d
+        return s.exps[0] * d + n * den, den * d
     q = s.precision
     return q.numerator * d + n * q.denominator, q.denominator * d
 
 
 def _common(a: Series, b: Series):
-    """(den, a.ints, b.ints) over one common denominator; an operand
-    without terms takes the other's denominator."""
+    """(den, a.exps, b.exps) over one common denominator; an operand
+    without terms takes the other's denominator.  The coefficients stay
+    as they are."""
     da, db = a.den, b.den
-    if da == db or not b.ints:
-        return da, a.ints, b.ints
-    if not a.ints:
-        return db, a.ints, b.ints
+    if da == db or not b.exps:
+        return da, a.exps, b.exps
+    if not a.exps:
+        return db, a.exps, b.exps
     den = lcm(da, db)
-    return den, _rescaled(a.ints, den // da), _rescaled(b.ints, den // db)
+    return den, _rescaled(a, den), _rescaled(b, den)
 
 
-def _rescaled(ints, f: int):
-    if f == 1:
-        return ints
-    return [(k * f, c) for k, c in ints]
+def _rescaled(s: Series, den: int):
+    """s.exps over ``den``, a multiple of s.den."""
+    if den == s.den:
+        return s.exps
+    f = den // s.den
+    return tuple([k * f for k in s.exps])
 
 
 # Slot widths in bytes of the Kronecker routes, with their memoryview formats
@@ -480,19 +493,20 @@ _DIGITS = range(1, 21)
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
 
 
-def _convolve(pairs, cutoff, p: int) -> tuple[tuple[int, int], ...]:
+def _convolve(pairs, cutoff, p: int):
     """The reduced, sorted terms k < ``cutoff`` (every k when it is None)
-    of sum a * b over ``pairs`` of integer term sequences on one
-    denominator, each with terms: by Kronecker substitution where the
-    exponents are dense (``_kronecker``), pair by pair elsewhere.  The one
-    place the product route is chosen, for ``*`` and ``dot`` alike."""
+    of sum a * b over ``pairs`` of operands with terms on one denominator,
+    each pair given as (a's exps, a's coeffs, b's exps, b's coeffs), as an
+    (exps, coeffs) pair: by Kronecker substitution where the exponents are
+    dense (``_kronecker``), pair by pair elsewhere.  The one place the
+    product route is chosen, for ``*`` and ``dot`` alike."""
     if not pairs:
-        return ()
+        return (), ()
     work = 0
     low = high = None
-    for a, b in pairs:
-        work += len(a) * len(b)
-        lo, hi = a[0][0] + b[0][0], a[-1][0] + b[-1][0]
+    for ea, _, eb, _ in pairs:
+        work += len(ea) * len(eb)
+        lo, hi = ea[0] + eb[0], ea[-1] + eb[-1]
         if low is None or lo < low:
             low = lo
         if high is None or hi > high:
@@ -506,31 +520,32 @@ def _convolve(pairs, cutoff, p: int) -> tuple[tuple[int, int], ...]:
     return _pairwise(pairs, cutoff, p)
 
 
-def _pairwise(pairs, cutoff, p: int) -> tuple[tuple[int, int], ...]:
+def _pairwise(pairs, cutoff, p: int):
     """``_convolve`` term by term: every product below the cutoff goes into
     one accumulator."""
     acc: dict[int, int] = {}
-    for a, b in pairs:
-        if len(a) > len(b):
-            a, b = b, a  # the outer loop runs over the shorter operand
+    for ea, ca, eb, cb in pairs:
+        if len(ea) > len(eb):  # the outer loop runs over the shorter operand
+            ea, ca, eb, cb = eb, cb, ea, ca
         # an exact product keeps every k, all of them below the last one + 1
-        top = a[-1][0] + b[-1][0] + 1 if cutoff is None else cutoff
-        b0 = b[0][0]
-        for ea, ca in a:
-            lim = top - ea
+        top = ea[-1] + eb[-1] + 1 if cutoff is None else cutoff
+        b0 = eb[0]
+        # the coefficients by index: no zip object per row of short operands
+        i = 0
+        for x in ea:
+            lim = top - x
             if b0 >= lim:
-                break  # a is sorted, so every later ea is past the cutoff too
-            for eb, cb in b:
-                if eb >= lim:
-                    break  # b is sorted
-                k = ea + eb
-                acc[k] = acc.get(k, 0) + ca * cb
-    kept = []
-    for k in sorted(acc):
-        c = acc[k] % p
-        if c:
-            kept.append((k, c))
-    return tuple(kept)
+                break  # ea is sorted, so every later x is past the cutoff too
+            cx = ca[i]
+            i += 1
+            j = 0
+            for y in eb:
+                if y >= lim:
+                    break  # eb is sorted
+                k = x + y
+                acc[k] = acc.get(k, 0) + cx * cb[j]
+                j += 1
+    return _reduced(acc, p)
 
 
 def _kronecker(pairs, cutoff, low: int, high: int, work: int, p: int):
@@ -572,28 +587,28 @@ def _kronecker(pairs, cutoff, low: int, high: int, work: int, p: int):
     terms = 0
     if cutoff is not None:
         work = 0
-    for a, b in pairs:
+    for ea, ca, eb, cb in pairs:
         if cutoff is not None:
-            if a[0][0] + b[0][0] >= cutoff:
+            if ea[0] + eb[0] >= cutoff:
                 continue  # every product lands at or past the cutoff
-            a = _below(a, cutoff - b[0][0])
-            b = _below(b, cutoff - a[0][0])
+            ea, ca = _below(ea, ca, cutoff - eb[0])
+            eb, cb = _below(eb, cb, cutoff - ea[0])
             # the pairwise loop makes only the products below the cutoff
-            j = len(b)
-            for ea, _ in a:
-                while b[j - 1][0] >= cutoff - ea:
+            j = len(eb)
+            for x in ea:
+                while eb[j - 1] >= cutoff - x:
                     j -= 1
                 work += j
-        terms += min(len(a), len(b))
-        kept_pairs.append((a, b))
+        terms += min(len(ea), len(eb))
+        kept_pairs.append((ea, ca, eb, cb))
     # a slot sums at most (p - 1)^2 per term of each pair's shorter side
     bound = terms * (p - 1) ** 2
     width, fmt = next(((w, f) for w, f in _SLOTS if bound < 256**w), (0, ""))
     if not width:
         return None
     karatsuba = spans = 0.0
-    for a, b in kept_pairs:
-        short, long = sorted((a[-1][0] - a[0][0] + 1, b[-1][0] - b[0][0] + 1))
+    for ea, _, eb, _ in kept_pairs:
+        short, long = sorted((ea[-1] - ea[0] + 1, eb[-1] - eb[0] + 1))
         karatsuba += long * short**0.585
         spans += short + long
     # a slot of ``width`` bytes is 8 * width / 30 digits
@@ -611,16 +626,16 @@ def _kronecker(pairs, cutoff, low: int, high: int, work: int, p: int):
     else:
         bits = 8 * width
         total = 0
-        for a, b in kept_pairs:
-            la, lb = a[0][0], b[0][0]
-            ia = _pack(a, la, width, fmt)
-            ib = ia if b is a else _pack(b, lb, width, fmt)
-            total += (ia * ib) << (bits * (la + lb - low))
+        for ea, ca, eb, cb in kept_pairs:
+            ia = _pack((ea, ca), ea[0], width, fmt)
+            # the two sides of a square hold the same tuples: one packing
+            ib = ia if ea is eb and ca is cb else _pack((eb, cb), eb[0], width, fmt)
+            total += (ia * ib) << (bits * (ea[0] + eb[0] - low))
         size = -(-total.bit_length() // bits)
         sums = memoryview(total.to_bytes(width * size, _ORDER)).cast(fmt)
         res = [c % p for c in sums[: high - low + 1]]
     # one residue per slot from ``low`` on: keep the nonzero ones
-    return tuple(compress(zip(range(low, high + 1), res), res))
+    return tuple(compress(range(low, high + 1), res)), tuple(compress(res, res))
 
 
 def _decimal_residues(pairs, low: int, slots: int, digits: int, p: int):
@@ -634,11 +649,10 @@ def _decimal_residues(pairs, low: int, slots: int, digits: int, p: int):
     into the next; a last translation reduces each byte mod p.
     """
     total = Decimal(0)
-    for a, b in pairs:
-        la, lb = a[0][0], b[0][0]
-        da = _pack_decimal(a, la, digits)
-        db = da if b is a else _pack_decimal(b, lb, digits)
-        prod = _EXACT.scaleb(_EXACT.multiply(da, db), digits * (la + lb - low))
+    for ea, ca, eb, cb in pairs:
+        da = _pack_decimal((ea, ca), ea[0], digits)
+        db = da if ea is eb and ca is cb else _pack_decimal((eb, cb), eb[0], digits)
+        prod = _EXACT.scaleb(_EXACT.multiply(da, db), digits * (ea[0] + eb[0] - low))
         total = _EXACT.add(total, prod)
     # least significant digit first; "f" keeps a positive exponent's zeros
     size = digits * slots
@@ -653,29 +667,42 @@ def _decimal_residues(pairs, low: int, slots: int, digits: int, p: int):
     return acc.to_bytes(slots, "little").translate(reduce)
 
 
-def _below(ints, cut: int | None):
-    """The leading terms of sorted ``ints`` with exponent below ``cut``:
+def _reduced(acc: dict[int, int], p: int):
+    """The (exps, coeffs) pair of the exponent -> sum map ``acc``: sorted,
+    each sum reduced mod p, the zeros dropped."""
+    exps, coeffs = [], []
+    for k in sorted(acc):
+        if c := acc[k] % p:
+            exps.append(k)
+            coeffs.append(c)
+    return tuple(exps), tuple(coeffs)
+
+
+def _below(exps, coeffs, cut: int | None):
+    """(exps, coeffs) cut to the leading terms with exponent below ``cut``:
     every term when it is None.  The one place a precision trims terms."""
-    if cut is None or not ints or ints[-1][0] < cut:
-        return ints
-    return ints[: bisect_left(ints, cut, key=_EXP)]
+    if cut is None or not exps or exps[-1] < cut:
+        return exps, coeffs
+    n = bisect_left(exps, cut)
+    return exps[:n], coeffs[:n]
 
 
-def _pack(ints, low: int, width: int, fmt: str) -> int:
-    """One integer with coefficient c of exponent k at slot k - ``low``."""
-    buf = bytearray(width * (ints[-1][0] - low + 1))
+def _pack(operand, low: int, width: int, fmt: str) -> int:
+    """One integer with coefficient c of exponent k at slot k - ``low``,
+    from an (exps, coeffs) pair."""
+    buf = bytearray(width * (operand[0][-1] - low + 1))
     with memoryview(buf).cast(fmt) as slots:
-        for k, c in ints:
+        for k, c in zip(*operand):
             slots[k - low] = c
     return int.from_bytes(buf, _ORDER)
 
 
-def _pack_decimal(ints, low: int, digits: int) -> Decimal:
+def _pack_decimal(operand, low: int, digits: int) -> Decimal:
     """One Decimal with coefficient c of exponent k in the ``digits`` digits
-    of slot k - ``low``."""
+    of slot k - ``low``, from an (exps, coeffs) pair."""
     # built least significant digit first, then reversed
-    buf = bytearray(b"0") * (digits * (ints[-1][0] - low + 1))
-    for k, c in ints:
+    buf = bytearray(b"0") * (digits * (operand[0][-1] - low + 1))
+    for k, c in zip(*operand):
         i = (k - low) * digits
         if c < 10:
             buf[i] = 48 + c
@@ -714,15 +741,15 @@ def dot(xs: Sequence[Series], ys: Sequence[Series]) -> Series:
         if a.p != p or b.p != p:
             raise PreconditionError(f"mixed primes {p}, {a.p} and {b.p}")
         prec = min_value(prec, a._mul_precision(b))
-        if a.ints and b.ints:
+        if a.exps and b.exps:
             pairs.append((a, b))
             den = lcm(den, a.den, b.den)
     cutoff = _cutoff(prec, den)
     pairs = [
-        (_rescaled(a.ints, den // a.den), _rescaled(b.ints, den // b.den))
-        for a, b in pairs
+        (_rescaled(a, den), a.coeffs, _rescaled(b, den), b.coeffs) for a, b in pairs
     ]
-    return _from_ints(p, den, _convolve(pairs, cutoff, p), prec)
+    exps, coeffs = _convolve(pairs, cutoff, p)
+    return _from_ints(p, den, exps, coeffs, prec)
 
 
 def invert(a: Series, target_precision: GroupValue) -> Series:
@@ -732,10 +759,9 @@ def invert(a: Series, target_precision: GroupValue) -> Series:
         raise PreconditionError("cannot invert zero")
     p = a.p
     # the leading term's inverse: the whole inverse of an exact monomial
-    lead_k, lead_c = a.ints[0]
-    unit = _from_ints(p, a.den, ((-lead_k, pow(lead_c, -1, p)),), INF)
+    unit = _from_ints(p, a.den, (-a.exps[0],), (pow(a.coeffs[0], -1, p),), INF)
     if target_precision is INF:
-        if a.precision is not INF or len(a.ints) > 1:
+        if a.precision is not INF or len(a.exps) > 1:
             raise InsufficientPrecision("exact inverse needs a monomial")
         return unit
     if a.precision is not INF and a.precision < target_precision:
@@ -749,15 +775,15 @@ def invert(a: Series, target_precision: GroupValue) -> Series:
     u = one - b
     inv_b = one
     term = one
-    if u.ints:
+    if u.exps:
         # k * v(u) < rel  <=>  k * ku < ceil(rel * den) for u's integer ku
-        ku = u.ints[0][0]
+        ku = u.exps[0]
         cut = _cutoff(rel, u.den)
         k = 1
         while k * ku < cut:
             term = (term * u).truncate(rel)
             inv_b = inv_b + term
-            if not term.ints:
+            if not term.exps:
                 break
             k += 1
     inv_b = inv_b.truncate(rel)
@@ -779,16 +805,16 @@ def truncate_to_subfield(
             f"alpha {alpha} beyond precision {x.precision}"
         )
     den = x.den
-    kept = _below(x.ints, _cutoff(alpha, den))
-    for k, _ in kept:
+    exps, coeffs = _below(x.exps, x.coeffs, _cutoff(alpha, den))
+    for k in exps:
         e = _fraction(k, den)
         if not pred(e):
             raise NotRepresentable(
                 f"exponent {e} not accepted by predicate {pred.name}"
             )
-    return _from_ints(x.p, den, kept, INF)
+    return _from_ints(x.p, den, exps, coeffs, INF)
 
 
 def in_subfield(x: Series, pred: SubfieldPredicate) -> bool:
     den = x.den
-    return all(pred(_fraction(k, den)) for k, _ in x.ints)
+    return all(pred(_fraction(k, den)) for k in x.exps)

@@ -198,11 +198,15 @@ def parse_value(text: str) -> GroupValue:
 
 
 def parse_cut(text: str) -> Cut:
+    """The cut a literal "(+inf)", "(<=b)" or "(<b)" names; ValueError, as
+    for any other malformed input text, when it names none."""
     text = text.strip()
     if text == "(+inf)":
         return Cut.plus_infinity()
-    if text.startswith("(<=") and text.endswith(")"):
-        return Cut.below_or_equal(Fraction(text[3:-1]))
-    if text.startswith("(<") and text.endswith(")"):
-        return Cut.strictly_below(Fraction(text[2:-1]))
-    raise PreconditionError(f"unrecognized cut literal {text!r}")
+    for prefix, make in (("(<=", Cut.below_or_equal), ("(<", Cut.strictly_below)):
+        if text.startswith(prefix) and text.endswith(")"):
+            try:
+                return make(Fraction(text[len(prefix) : -1]))
+            except (ValueError, ZeroDivisionError):
+                break
+    raise ValueError(f"unrecognized cut literal {text!r}")

@@ -89,15 +89,11 @@ class GaloisElem:
     def __call__(self, a: Series) -> Series:
         G = self.group
         den = a.den
-        return _from_ints(
-            a.p,
-            den,
-            tuple([
-                (k, (c * pow(G.zeta, self.k * G._s_part(k, den), G.p)) % G.p)
-                for k, c in a.ints
-            ]),
-            a.precision,
-        )
+        coeffs = tuple([
+            c * pow(G.zeta, self.k * G._s_part(k, den), G.p) % G.p
+            for k, c in zip(a.exps, a.coeffs)
+        ])
+        return _from_ints(a.p, den, a.exps, coeffs, a.precision)
 
     def __mul__(self, other: "GaloisElem") -> "GaloisElem":
         return GaloisElem(self.group, (self.k + other.k) % self.group.n)

@@ -211,7 +211,7 @@ def taylor_check(f: ValPoly, c: Series, x: Series) -> bool:
         rhs = rhs + fi_c * power
         power = power * diff
     delta = lhs - rhs
-    if not delta.ints:
+    if not delta.terms:
         return True
     if lhs.precision is not INF and delta.val() >= lhs.precision:
         return True
@@ -225,7 +225,7 @@ def poly_divmod(g: ValPoly, f: ValPoly) -> tuple[ValPoly, ValPoly]:
         raise PreconditionError("division by the zero polynomial")
     p = g.p
     lead = f.coeffs[-1]
-    if lead.precision is not INF or len(lead.ints) != 1:
+    if lead.precision is not INF or len(lead.terms) != 1:
         raise PreconditionError(
             "divisor leading coefficient must be an exact monomial"
         )

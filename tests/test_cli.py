@@ -206,6 +206,42 @@ def test_a_type_files_p_is_validated_as_the_flag_is(capsys, tmp_path, p):
     assert err == f"check failed: p must be prime, got {p}\n"
 
 
+@pytest.mark.parametrize("p", ["1000000007", "2147483647"])
+def test_a_large_prime_validates_at_once(capsys, p):
+    # trial division up to p itself ran for minutes before any work
+    code, out, err = run_cli(capsys, "--p", p, "eval", "t")
+    assert (code, err) == (0, "")
+    assert "v = 1" in out
+
+
+@pytest.mark.parametrize("p", ["1", "4", "9", "3000000021"])
+def test_a_composite_p_flag_is_refused(capsys, p):
+    # 3000000021 = 3 * 1000000007
+    code, out, err = run_cli(capsys, "--p", p, "eval", "t")
+    assert (code, out) == (1, "")
+    assert err == f"check failed: p must be prime, got {p}\n"
+
+
+MALFORMED_CUTS = ["(<0", "(<=x)", "<0", "(<1/0)", "(+inf", " "]
+
+
+@pytest.mark.parametrize("cut", MALFORMED_CUTS)
+def test_a_malformed_hint_is_a_usage_error(capsys, tmp_path, cut):
+    # "(<0" was a check failure (exit 1) while "(<=x)" was a usage error
+    path = _p5_type_file(tmp_path, hint=cut)
+    code, out, err = run_cli(capsys, "dist", "--type", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: unrecognized cut literal"), err
+
+
+@pytest.mark.parametrize("cut", MALFORMED_CUTS)
+def test_a_malformed_envelope_approach_is_a_usage_error(capsys, cut):
+    family = {"approach": cut, "items": [{"i": 1, "intercept": 0, "slope": 1}]}
+    code, out, err = run_cli(capsys, "--p", "3", "envelope", json.dumps(family))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: unrecognized cut literal"), err
+
+
 @pytest.mark.parametrize("ground", ["div0", "div-2", "divx", "div"])
 def test_a_ground_div_without_a_positive_integer_is_refused(
     capsys, tmp_path, ground

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -174,11 +175,32 @@ def test_subfield_predicates_compare_by_name():
 
 def assert_series_invariants(s):
     """Strictly increasing exponents, coefficients in 1..p-1, all below
-    precision: what the merge in ``+`` and the cutoff in ``*`` rely on."""
-    exps = [e for e, _ in s.terms]
-    assert all(x < y for x, y in zip(exps, exps[1:])), s.terms
+    precision: what the merge in ``+`` and the cutoff in ``*`` rely on.
+    Checked on the stored tuples ``exps`` and ``coeffs`` and on the
+    ``terms`` view built from them."""
+    exps, coeffs = s.exps, s.coeffs
+    assert type(exps) is tuple and type(coeffs) is tuple, (exps, coeffs)
+    assert all(type(k) is int for k in exps + coeffs), (exps, coeffs)
+    assert len(exps) == len(coeffs), (exps, coeffs)
+    assert all(x < y for x, y in zip(exps, exps[1:])), exps
+    assert all(1 <= c < s.p for c in coeffs), coeffs
+    cut = hahn._cutoff(s.precision, s.den)
+    assert not exps or cut is None or exps[-1] < cut, (exps, s.den, s.precision)
+    terms = [e for e, _ in s.terms]
+    assert all(x < y for x, y in zip(terms, terms[1:])), s.terms
     assert all(1 <= c < s.p for _, c in s.terms), s.terms
-    assert all(e < s.precision for e in exps), (s.terms, s.precision)
+    assert all(e < s.precision for e in terms), (s.terms, s.precision)
+
+
+def assert_pickle_round_trip(s):
+    """``__reduce__`` rebuilds the same stored tuples, denominator and
+    precision, and a series equal to and hashing like ``s``."""
+    again = pickle.loads(pickle.dumps(s))
+    assert (again.exps, again.coeffs, again.den, again.precision) == (
+        s.exps, s.coeffs, s.den, s.precision
+    )
+    assert again == s and hash(again) == hash(s)
+    assert_series_invariants(again)
 
 
 def differential_operand(rng, p):
@@ -347,8 +369,8 @@ def test_frobenius_equals_the_p_fold_product_randomized():
         assert_series_invariants(got)
         exact = y.precision is INF
         assert (got.precision is INF) == exact
-        negative = bool(y.ints) and y.val() < 0
-        seen.add((p, exact, bool(y.ints), negative))
+        negative = bool(y.exps) and y.val() < 0
+        seen.add((p, exact, bool(y.exps), negative))
     # each prime: exact and truncated operands with terms, of either sign
     # of v(y), and truncated ones without terms
     for p in (2, 3, 5, 7):
@@ -553,7 +575,7 @@ def test_public_constructor_converts_without_normalising():
     p = 7
     s = Series(p, ((Fraction(-1, 6), 3), (0, 1), (Fraction(5, 4), 6)), Fraction(3, 2))
     assert s.den == 12
-    assert s.ints == ((-2, 3), (0, 1), (15, 6))
+    assert (s.exps, s.coeffs) == ((-2, 0, 15), (3, 1, 6))
     assert s.terms == ((Fraction(-1, 6), 3), (Fraction(0), 1), (Fraction(5, 4), 6))
     assert s == Series.make(p, s.terms, s.precision)
     assert Series(p, iter(s.terms), s.precision) == s
@@ -571,7 +593,8 @@ def test_public_constructor_converts_without_normalising():
 # each operand into an ``int`` with ``_pack`` or, for long products, into a
 # ``Decimal`` (``_decimal_residues``).  Emptying ``_SLOTS`` leaves no slot
 # width, so every call takes the pairwise route: the reference both
-# Kronecker routes must match in ``ints``, ``den`` and ``precision``.
+# Kronecker routes must match in ``exps``, ``coeffs``, ``den`` and
+# ``precision``.
 # Emptying ``_DIGITS`` leaves the integer route in place of the decimal one.
 
 
@@ -602,8 +625,8 @@ def int_route(monkeypatch, f, *args):
 
 
 def assert_same_representation(got, want):
-    assert (got.ints, got.den, got.precision) == (
-        want.ints, want.den, want.precision
+    assert (got.exps, got.coeffs, got.den, got.precision) == (
+        want.exps, want.coeffs, want.den, want.precision
     )
 
 
@@ -652,7 +675,8 @@ def test_both_routes_match_the_references_randomized(
         dense_trials += len(packed_widths) > before
         assert_same_representation(prod, pairwise(monkeypatch, a.__mul__, b))
         assert_matches(p, prod, ref_mul(p, ref_of(a), ref_of(b)))
-        if len(a.ints) * len(b.ints) <= 2000:
+        assert_pickle_round_trip(prod)
+        if len(a.exps) * len(b.exps) <= 2000:
             pairs = [
                 (ea + eb, ca * cb) for ea, ca in a.terms for eb, cb in b.terms
             ]
@@ -684,6 +708,7 @@ def test_dot_routes_match_the_sum_of_products_randomized(
         dense_trials += packed > 0
         summed_pairs += packed > 2
         assert_same_representation(got, pairwise(monkeypatch, dot, xs, ys))
+        assert_pickle_round_trip(got)
         want = xs[0] * ys[0]
         for a, b in zip(xs[1:], ys[1:]):
             want = want + a * b
@@ -706,7 +731,7 @@ def test_one_byte_slots_hold_up_to_255_products(n, width, packed_widths):
     prod = ones(2, n) * ones(2, n)
     assert packed_widths == [width, width]
     want = [(k, 1) for k in range(2 * n - 1) if min(k + 1, 2 * n - 1 - k) % 2]
-    assert prod.ints == tuple(want)
+    assert tuple(zip(prod.exps, prod.coeffs)) == tuple(want)
 
 
 def test_dot_slots_hold_the_sum_over_its_pairs(packed_widths):
@@ -799,6 +824,9 @@ def check_decimal_route(monkeypatch, decimal_digits, rng, p, n, step):
             )
             assert_same_representation(got, route(monkeypatch, dot, xs, ys))
         assert got == prod + xs[1] * ys[1]
+        for x in (prod, got):
+            assert_series_invariants(x)
+            assert_pickle_round_trip(x)
         if exact:  # the Fraction reference takes most of the time
             ref = ref_mul(p, ref_of(xs[0]), ref_of(ys[0]))
             assert (prod.terms, prod.precision) == ref_series(p, ref)
@@ -822,7 +850,7 @@ def test_decimal_route_packs_two_digit_coefficients(monkeypatch, decimal_digits)
         operands = check_decimal_route(
             monkeypatch, decimal_digits, rng, p, 200, 90
         )
-        assert any(c >= 10 for x in operands for _, c in x.ints)
+        assert any(c >= 10 for x in operands for c in x.coeffs)
     assert set(decimal_digits) == {5}
 
 

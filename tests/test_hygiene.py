@@ -317,6 +317,18 @@ def test_the_window_rule_is_read_in_one_function():
     assert len(readers) <= 1, sorted(readers)
 
 
+def test_series_exponents_are_read_only_in_hahn_and_tamegal():
+    # the stored exponent tuple has two reader modules, so a change of the
+    # series representation knows every reader; the coefficient tuple's
+    # name ``coeffs`` is shared with ValPoly's and not scanned
+    readers = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if attribute_reads(path.read_text(), "exps")
+    }
+    assert readers == {"hahn.py", "tamegal.py"}
+
+
 def test_attribute_read_check_flags_what_it_should():
     source = (
         "class T:\n"
@@ -335,8 +347,8 @@ def test_attribute_read_check_flags_what_it_should():
 
 
 def exponent_bisections(source):
-    """(enclosing function, line) for each ``bisect_left(..., key=_EXP)``
-    call in ``source``, by name or attribute; the enclosing function is the
+    """(enclosing function, line) for each ``bisect_left`` call in
+    ``source``, by name or attribute; the enclosing function is the
     innermost one, None at module level."""
     out = []
 
@@ -348,11 +360,7 @@ def exponent_bisections(source):
             if isinstance(child, ast.Call):
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name == "bisect_left" and any(
-                    k.arg == "key" and isinstance(k.value, ast.Name)
-                    and k.value.id == "_EXP"
-                    for k in child.keywords
-                ):
+                if name == "bisect_left":
                     out.append((caller, child.lineno))
             visit(child, caller)
 
@@ -372,14 +380,14 @@ def test_a_precision_trims_terms_only_in_below():
 
 def test_exponent_bisection_check_flags_what_it_should():
     source = (
-        "def _below(ints, cut):\n"
-        "    return ints[: bisect_left(ints, cut, key=_EXP)]\n"
+        "def _below(exps, coeffs, cut):\n"
+        "    n = bisect_left(exps, cut)\n"
         "class Series:\n"
         "    def truncate(self, cut):\n"
-        "        i = bisect.bisect_left(self.ints, cut, key=_EXP)\n"
-        "        j = bisect_left(self.ints, cut)\n"
-        "        return bisect_left(self.ints, cut, key=len)\n"
-        "k = bisect_left(ints, 0, key=_EXP)\n"
+        "        i = bisect.bisect_left(self.exps, cut)\n"
+        "        j = bisect_right(self.exps, cut)\n"
+        "        return self.exps.index(cut)\n"
+        "k = bisect_left(exps, 0)\n"
     )
     assert exponent_bisections(source) == [
         ("_below", 2), ("truncate", 5), (None, 8),

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_hahn import assert_series_invariants
 
 from apxval.errors import PreconditionError
 from apxval.hahn import Series
@@ -46,6 +47,8 @@ def test_action_is_automorphism(p, n):
     for _ in range(200):
         a = random_lattice_series(rng, G)
         b = random_lattice_series(rng, G)
+        for x in (a, b, a * b, a + b, (a + b).truncate(0)):
+            assert_series_invariants(gen(x))
         assert gen(a * b) == gen(a) * gen(b)
         assert gen(a + b) == gen(a) + gen(b)
         assert gen(a).val() == a.val()
