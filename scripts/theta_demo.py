@@ -10,10 +10,9 @@ cut, and the residue factorization of the reduced difference."""
 import argparse
 
 from apxval.curated import theta_minpoly, theta_type
-from apxval.hahn import Series
 from apxval.ordval import format_value, scale_cut, shift_cut
 from apxval.parsing import format_poly, format_series
-from apxval.reldeg import approx_coefficient, reduced_factor_shape, rel_degree
+from apxval.reldeg import approx_coefficient, rel_degree, tail_factor_shape
 
 
 def main() -> None:
@@ -42,11 +41,7 @@ def main() -> None:
     cut = shift_cut(d.val(), scale_cut(rd.h, A.distance()))
     print(f"coeff    : d = {format_series(d)}, image distance {cut}")
 
-    n = A.tail()[-1]
-    c = A.approximants[n]
-    scale = Series.monomial(p, -A.gamma(n))
-    residues = reduced_factor_shape(A, f, c, scale)
-    root = (scale * (A.target - c)).residue()
+    residues, root = tail_factor_shape(A, f)
     print(f"residue  : coefficients {residues} = (Z - {root})^{rd.h} mod {p}")
 
 

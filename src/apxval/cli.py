@@ -20,13 +20,7 @@ from dataclasses import replace
 from .config import SessionConfig, load_config_file
 from .errors import ApxError, InternalInconsistency
 from .ordval import format_value, parse_cut, parse_value
-from .hahn import (
-    Series,
-    dot,
-    in_subfield,
-    p_power_denominators,
-    resolve_predicate,
-)
+from .hahn import dot, in_subfield, p_power_denominators, resolve_predicate
 from .parsing import ParseError, format_series, parse_poly, parse_series
 from .envelope import AffineFamily, eventual_order, eventual_argmin
 from .apprtype import ApproxType, Fixed
@@ -34,7 +28,7 @@ from .reldeg import (
     approx_coefficient,
     coefficient_dist_law,
     rel_degree,
-    reduced_factor_shape,
+    tail_factor_shape,
 )
 from .tamegal import TameCyclic, valuation_independence_witness
 from .curated import trace_pulldown_scenario
@@ -144,12 +138,7 @@ def cmd_approx_coeff(args, cfg, A, f):
 
 
 def cmd_factor_shape(args, cfg, A, f):
-    n = A.tail()[-1]
-    c = A.approximants[n]
-    gam = A.gamma(n)
-    d = Series.monomial(cfg.p, -gam)
-    residues = reduced_factor_shape(A, f, c, d)
-    root = (d * (A.target - c)).residue()
+    residues, root = tail_factor_shape(A, f)
     return (
         {"residue_coeffs": residues, "root": root},
         f"residue polynomial coefficients {residues} (root {root})",

@@ -25,7 +25,7 @@ from .curated import (
     trace_pulldown_scenario,
 )
 from .tamegal import TameCyclic, crossed_hom_check, valuation_independence_witness
-from .reldeg import rel_degree, reduced_factor_shape
+from .reldeg import rel_degree, tail_factor_shape
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,7 @@ def _factor_shape_case(p: int) -> ExampleCase:
     def run():
         A = theta_type(p)
         f = theta_minpoly(p)
-        n = A.tail()[-1]
-        c = A.approximants[n]
-        gam = A.gamma(n)
-        d = Series.monomial(p, -gam)
-        residues = reduced_factor_shape(A, f, c, d)
-        r = (d * (A.target - c)).residue()
+        residues, r = tail_factor_shape(A, f)
         expected = [
             (comb(p, i) * pow(-r, p - i, p)) % p for i in range(p + 1)
         ]

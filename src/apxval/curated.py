@@ -22,8 +22,8 @@ from .ordval import Cut
 from .valpoly import ValPoly
 from .apprtype import ApproxType
 from .tamegal import (
-    GaloisElem,
     TameCyclic,
+    chi,
     trace_generator,
     valuation_independence_witness,
 )
@@ -69,10 +69,10 @@ def theta_type(
     )
 
 
-def theta_f_of_theta_exact(p: int, terms: int = THETA_TERMS) -> Series:
-    """f evaluated at the exact finite sum: the monomial -t^(-1/p^terms),
-    which lies in the ground field itself."""
-    return Series.monomial(p, Fraction(-1, p**terms), p - 1)
+def theta_f_of_theta_exact(p: int) -> Series:
+    """f evaluated at the exact finite sum: the monomial
+    -t^(-1/p^THETA_TERMS), which lies in the ground field itself."""
+    return Series.monomial(p, Fraction(-1, p**THETA_TERMS), p - 1)
 
 
 def generic_immediate_type(
@@ -80,16 +80,15 @@ def generic_immediate_type(
     exponents: list[Fraction],
     precision,
     boundary: Fraction,
-    transcendental: bool = True,
 ) -> ApproxType:
-    """An immediate type from a strictly increasing exponent list with
-    p-power denominators and declared distance (<boundary)."""
+    """A transcendental immediate type from a strictly increasing exponent
+    list with p-power denominators and declared distance (<boundary)."""
     target = Series.make(p, [(e, 1) for e in exponents], Fraction(precision))
     return ApproxType.from_truncations(
         target,
         p_power_denominators(p),
         distance_hint=Cut.strictly_below(boundary),
-        transcendental=transcendental,
+        transcendental=True,
     )
 
 
@@ -105,7 +104,7 @@ class TraceScenario:
     trace_poly: ValPoly
 
 
-def trace_pulldown_scenario(terms: int = THETA_TERMS) -> TraceScenario:
+def trace_pulldown_scenario() -> TraceScenario:
     """The (p=3, n=2) trace construction: x = sum t^(-1/(2*3^i)) sits in the
     coset of s = t^(1/2); its conjugate is -x, the witness search over the
     approximation coefficients (1, -1) yields d = s, and Tr(d*x) = 2*s*x has
@@ -115,7 +114,7 @@ def trace_pulldown_scenario(terms: int = THETA_TERMS) -> TraceScenario:
     ground = lattice_p_power(n, p)
     x = Series.make(
         p,
-        [(Fraction(-1, n * p**i), 1) for i in range(1, terms + 1)],
+        [(Fraction(-1, n * p**i), 1) for i in range(1, THETA_TERMS + 1)],
         Fraction(1),
     )
     x_type = ApproxType.from_truncations(
@@ -125,7 +124,7 @@ def trace_pulldown_scenario(terms: int = THETA_TERMS) -> TraceScenario:
     proxies = []
     coeffs = []
     for rho in G.elements():
-        sign = chi_on_coset(G, rho)
+        sign = chi(G, rho, G.s())
         lin = ValPoly(
             p, (Series.zero(p), Series.monomial(p, 0, sign))
         )
@@ -138,13 +137,8 @@ def trace_pulldown_scenario(terms: int = THETA_TERMS) -> TraceScenario:
     # the trace as a polynomial in x: Tr(d*x) = (sum rho(d)*chi(rho)) * x
     lead = Series.zero(p)
     for rho in G.elements():
-        lead = lead + rho(d).scale(chi_on_coset(G, rho))
+        lead = lead + rho(d).scale(chi(G, rho, G.s()))
     trace_poly = ValPoly(p, (Series.zero(p), lead))
     return TraceScenario(
         G, x, x_type, proxies, coeffs, d, tr, trace_poly
     )
-
-
-def chi_on_coset(G: TameCyclic, rho: GaloisElem) -> int:
-    """The scalar by which rho acts on the coset of s (all of x's terms)."""
-    return pow(G.zeta, rho.k, G.p)

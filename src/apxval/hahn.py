@@ -46,6 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd, lcm
+from operator import lt
 from sys import byteorder as _ORDER
 from typing import Callable, Iterable, Sequence
 
@@ -138,15 +139,30 @@ class Series:
         terms: Iterable[tuple[Fraction | int, int]],
         precision: GroupValue = INF,
     ):
-        """Terms as (exponent, coeff) pairs, already sorted, reduced and
-        below precision (use ``Series.make`` to normalise)."""
-        if not isinstance(terms, (tuple, list)):
-            terms = tuple(terms)
-        den = lcm(*{e.denominator for e, _ in terms})
+        """Terms as (exponent, coeff) pairs in any order: like exponents
+        are summed, coefficients reduced mod p, and zero terms and terms at
+        or past ``precision`` dropped; ``den`` is the least common
+        denominator of the given exponents."""
+        terms = list(terms)
+        try:
+            dens = [e.denominator for e, _ in terms]
+        except AttributeError:  # an exponent such as "1/2" or 0.5
+            terms = [(Fraction(e), c) for e, c in terms]
+            dens = [e.denominator for e, _ in terms]
+        den = lcm(*set(dens))
+        exps = [e.numerator * (den // d) for (e, _), d in zip(terms, dens)]
+        coeffs = [c % p for _, c in terms]
+        if not (all(coeffs) and all(map(lt, exps, exps[1:]))):
+            # unsorted, repeated or zero terms: sum the like exponents
+            acc: dict[int, int] = {}
+            for k, c in zip(exps, coeffs):
+                acc[k] = acc.get(k, 0) + c
+            exps, coeffs = _reduced(acc, p)
+        exps, coeffs = _below(tuple(exps), tuple(coeffs), _cutoff(precision, den))
         _P(self, p)
         _DEN(self, den)
-        _EXPS(self, tuple([e.numerator * (den // e.denominator) for e, _ in terms]))
-        _COEFFS(self, tuple([c for _, c in terms]))
+        _EXPS(self, exps)
+        _COEFFS(self, coeffs)
         _PREC(self, precision)
 
     @staticmethod
@@ -155,17 +171,7 @@ class Series:
         terms: Iterable[tuple[Fraction | int, int]],
         precision: GroupValue = INF,
     ) -> "Series":
-        pairs = [
-            (e if isinstance(e, (int, Fraction)) else Fraction(e), c)
-            for e, c in terms
-        ]
-        den = lcm(*{e.denominator for e, _ in pairs})
-        acc: dict[int, int] = {}
-        for e, c in pairs:
-            k = e.numerator * (den // e.denominator)
-            acc[k] = acc.get(k, 0) + c
-        exps, coeffs = _below(*_reduced(acc, p), _cutoff(precision, den))
-        return _from_ints(p, den, exps, coeffs, precision)
+        return Series(p, terms, precision)
 
     @staticmethod
     def zero(p: int, precision: GroupValue = INF) -> "Series":
@@ -176,12 +182,8 @@ class Series:
         return _from_ints(p, 1, (0,), (1,), INF)
 
     @staticmethod
-    def monomial(p: int, e, c: int = 1, precision: GroupValue = INF) -> "Series":
-        return Series.make(p, [(Fraction(e), c)], precision)
-
-    @staticmethod
-    def t(p: int) -> "Series":
-        return Series.monomial(p, 1)
+    def monomial(p: int, e, c: int = 1) -> "Series":
+        return Series(p, ((e, c),))
 
     @property
     def terms(self) -> tuple[tuple[Fraction, int], ...]:

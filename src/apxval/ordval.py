@@ -191,10 +191,15 @@ def format_value(v: GroupValue) -> str:
 
 
 def parse_value(text: str) -> GroupValue:
+    """The value "inf" or a rational literal names; ValueError, as for any
+    other malformed input text, when it names none."""
     text = text.strip()
     if text == "inf":
         return INF
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in value {text!r}") from None
 
 
 def parse_cut(text: str) -> Cut:

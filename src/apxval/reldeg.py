@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     StabilizationError,
 )
-from .hahn import Series, dot, invert
+from .hahn import Series, _prime_to_p, dot, invert
 from .ordval import INF, Cut, GroupValue, is_finite, scale_cut, shift_cut
 from .valpoly import (
     ValPoly,
@@ -207,11 +207,7 @@ def h_upper_bound_from_coeffs(f: ValPoly) -> int:
     if best is None or not strict:
         raise PreconditionError("no strictly minimal coefficient value")
     i = best[1]
-    pt = 1
-    while i % p == 0:
-        i //= p
-        pt *= p
-    return pt
+    return i // _prime_to_p(i, p)
 
 
 def approx_coefficient(A: ApproxType, f: ValPoly) -> tuple[Series, RelDegree]:
@@ -353,6 +349,15 @@ def reduced_factor_shape(
             f"residue polynomial {residues} is not (Z - {r})^{h}"
         )
     return residues
+
+
+def tail_factor_shape(A: ApproxType, f: ValPoly) -> tuple[list[int], int]:
+    """``reduced_factor_shape`` at the last tail approximant c, scaled by
+    d = t^(-v(x - c)): the residues and the root r of (Z - r)^h."""
+    n = A.tail()[-1]
+    c = A.approximants[n]
+    d = Series.monomial(f.p, -A.gamma(n))
+    return reduced_factor_shape(A, f, c, d), (d * (A.target - c)).residue()
 
 
 def _power_of_linear(p: int, r: int, h: int, degree: int) -> list[int]:

@@ -32,8 +32,8 @@ class TameCyclic:
 
     @staticmethod
     def make(p: int, n: int) -> "TameCyclic":
-        if (p - 1) % n != 0:
-            raise PreconditionError(f"need n | p - 1, got n={n}, p={p}")
+        if n < 1 or (p - 1) % n != 0:
+            raise PreconditionError(f"need n >= 1 with n | p - 1, got n={n}, p={p}")
         zeta = _primitive_root_of_unity(p, n)
         return TameCyclic(p, n, zeta)
 
@@ -69,11 +69,16 @@ class TameCyclic:
 
 
 def _primitive_root_of_unity(p: int, n: int) -> int:
-    for z in range(2, p) if n > 1 else [1]:
-        if pow(z, n, p) == 1 and all(
-            pow(z, k, p) != 1 for k in range(1, n)
-        ):
-            return z
+    """The least residue of exact order n mod p, for n | p - 1.
+
+    w = z^((p - 1)/n) has order dividing n, and exactly n when no w^(n/q),
+    q > 1 dividing n, is 1; the residues of order n are then the w^j with
+    j prime to n.  z runs from 1, whose w = 1 serves n = 1."""
+    divisors = [q for q in range(2, n + 1) if n % q == 0]
+    for z in range(1, p):
+        w = pow(z, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in divisors):
+            return min(pow(w, j, p) for j in range(1, n + 1) if gcd(j, n) == 1)
     raise InternalInconsistency(f"no primitive {n}-th root of unity mod {p}")
 
 

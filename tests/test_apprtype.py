@@ -65,6 +65,22 @@ def test_distance_hint_checked():
         ).distance()
 
 
+def test_distance_hint_names_the_first_contradicting_value():
+    # the values -1/3, -1/9, -1/27, ...: every one from -1/9 on contradicts
+    # (<-1/9), and the message names -1/9, not the last one
+    p = 3
+    A = ApproxType.from_truncations(
+        theta_target(p), p_power_denominators(p),
+        distance_hint=Cut.strictly_below(Fraction(-1, 9)),
+    )
+    assert A.gammas()[:2] == [Fraction(-1, 3), Fraction(-1, 9)]
+    with pytest.raises(MarkerViolation) as exc:
+        A.distance()
+    assert str(exc.value) == (
+        "approximant value -1/9 contradicts the declared distance (<-1/9)"
+    )
+
+
 def test_distance_hint_checked_against_an_outside_exponent():
     # over Z the theta target's first exponent -1/3 lies outside the
     # ground, so the distance is attained there whatever the hint says;
@@ -294,7 +310,7 @@ def test_verify_not_fixed_rejects_non_immediate():
     p = 3
     x = Series.monomial(p, Fraction(1, 2))
     A = ApproxType.from_truncations(x, integers_predicate())
-    g = ValPoly(p, (-Series.t(p), Series.zero(p), Series.one(p)))  # X^2 - t
+    g = ValPoly(p, (-Series.monomial(p, 1), Series.zero(p), Series.one(p)))  # X^2 - t
     with pytest.raises(PreconditionError):
         A.verify_not_fixed_for_minpoly(g)
 

@@ -242,6 +242,34 @@ def test_a_malformed_envelope_approach_is_a_usage_error(capsys, cut):
     assert err.startswith("usage error: unrecognized cut literal"), err
 
 
+@pytest.mark.parametrize("intercept", ["abc", "1/0", "1/", " "])
+def test_a_malformed_envelope_intercept_is_a_usage_error(capsys, intercept):
+    # "1/0" ended in a ZeroDivisionError traceback
+    family = _family(intercept=intercept)
+    code, out, err = run_cli(capsys, "--p", "3", "envelope", json.dumps(family))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:"), err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_a_tame_witness_n_below_1_is_refused(capsys, n):
+    # n = 0 ended in a ZeroDivisionError traceback, n = -1 in exit 3
+    code, out, err = run_cli(
+        capsys, "--p", "3", "tame-witness", "--n", n, "--sigmas", "0", "--ds", "1"
+    )
+    assert (code, out) == (1, "")
+    assert err == f"check failed: need n >= 1 with n | p - 1, got n={n}, p=3\n"
+
+
+def test_a_tame_witness_over_a_large_prime_answers_at_once(capsys):
+    # the root of unity search scanned z = 2, 3, ... up to p - 1
+    code, out, _ = run_cli(
+        capsys, "--p", "1000000007", "tame-witness", "--n", "2",
+        "--sigmas", "0,1", "--ds", "1", "2",
+    )
+    assert (code, out) == (0, "d = 1 (sum value 0)\n")
+
+
 @pytest.mark.parametrize("ground", ["div0", "div-2", "divx", "div"])
 def test_a_ground_div_without_a_positive_integer_is_refused(
     capsys, tmp_path, ground

@@ -587,6 +587,40 @@ def test_public_constructor_converts_without_normalising():
         s.p = 5
 
 
+def test_public_constructor_keeps_the_invariants_randomized():
+    # Series(3, [(1, 1), (0, 2)]) stored exps (1, 0), and Series(3, [(0, 5),
+    # (1, 3)]) the coefficients (5, 3): the constructor trusted its input
+    assert Series(3, [(1, 1), (0, 2)]).exps == (0, 1)
+    assert Series(3, [(0, 5), (1, 3)]).coeffs == (2,)
+    # exponents Fraction() reads, beside int and Fraction
+    half = Series(3, [(Fraction(1, 2), 2)])
+    assert Series(3, [("1/2", 1), (0.5, 1)]) == half
+    assert Series(3, [(Fraction(1, 2), 1), ("1/2", 1)]) == half
+    rng = random.Random(1818)
+    for trial in range(400):
+        p = (2, 3, 5, 7)[trial % 4]
+        pool = [Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, p, p * p)))
+                for _ in range(rng.randint(1, 6))]
+        terms = []
+        for _ in range(rng.randint(0, 12)):
+            e = rng.choice(pool)  # repeats sum their coefficients
+            e = e.numerator if e.denominator == 1 and rng.random() < 0.5 else e
+            c = rng.choice((rng.randint(-2 * p, 3 * p), p * rng.randint(-2, 2)))
+            terms.append((e, c))
+        rng.shuffle(terms)
+        prec = rng.choice((INF, Fraction(rng.randint(-12, 12), rng.choice((1, 2, p)))))
+        want = {}
+        for e, c in terms:
+            want[Fraction(e)] = (want.get(Fraction(e), 0) + c) % p
+        want = sorted(
+            (e, c) for e, c in want.items() if c and (prec is INF or e < prec)
+        )
+        s = Series(p, terms, prec)
+        assert_series_invariants(s)
+        assert list(s.terms) == want and s.precision == prec, (terms, prec)
+        assert s == Series.make(p, terms, prec)
+
+
 # --- the three convolution routes of * and dot -----------------------------
 #
 # ``_convolve`` multiplies pairwise or by Kronecker substitution, which packs

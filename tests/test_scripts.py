@@ -40,3 +40,20 @@ def test_run_corpus_passes_every_case():
     summary = json.loads(lines[-1])
     assert records and all(r["status"] == "pass" for r in records), records
     assert summary == {"cases": len(records), "passed": len(records)}
+
+
+def test_code_lines_totals_the_files_and_skips_docstrings(tmp_path):
+    lines = run_script("code_lines.py")
+    counts = [int(line.split()[0]) for line in lines]
+    assert lines[-1].endswith(" total") and counts[-1] == sum(counts[:-1])
+    assert any(line.endswith("src/apxval/hahn.py") for line in lines)
+    path = tmp_path / "doc_only.py"
+    path.write_text(
+        '"""Module docstring."""\n'
+        "\n"
+        "# a comment\n"
+        "def f():\n"
+        '    """Only a docstring,\n'
+        '    over two lines."""\n'
+    )
+    assert run_script("code_lines.py", str(path)) == [f"     1 {path}", "     1 total"]

@@ -39,6 +39,30 @@ def test_construction_checks_divisibility():
     assert G.zeta != 1
 
 
+def test_construction_refuses_n_below_1():
+    # n = 0 divided by zero; n = -1 divides p - 1 and exhausted the search
+    for n in (0, -1, -4):
+        with pytest.raises(PreconditionError):
+            TameCyclic.make(5, n)
+
+
+def test_zeta_is_the_least_residue_of_exact_order_n():
+    # the plain scan z = 2, 3, ... it replaced, for every prime p < 200
+    def scanned(p, n):
+        if n == 1:
+            return 1
+        return next(
+            z for z in range(2, p)
+            if pow(z, n, p) == 1 and all(pow(z, k, p) != 1 for k in range(1, n))
+        )
+
+    primes = [q for q in range(2, 200) if all(q % r for r in range(2, q))]
+    for p in primes:
+        for n in range(1, p):
+            if (p - 1) % n == 0:
+                assert TameCyclic.make(p, n).zeta == scanned(p, n), (p, n)
+
+
 @pytest.mark.parametrize("p,n", PAIRS)
 def test_action_is_automorphism(p, n):
     G = TameCyclic.make(p, n)
@@ -143,12 +167,12 @@ def test_witness_randomized_1000():
 
 def test_standard_basis_decompose_example():
     G = TameCyclic.make(3, 2)
-    a = G.s() + Series.t(3)
+    a = G.s() + Series.monomial(3, 1)
     c = standard_basis_decompose(G, a)
-    assert c[0] == Series.t(3)
+    assert c[0] == Series.monomial(3, 1)
     assert c[1] == Series.one(3)
     c0, v = best_ground_approx(G, a)
-    assert c0 == Series.t(3)
+    assert c0 == Series.monomial(3, 1)
     assert v == Fraction(1, 2)
 
 

@@ -202,10 +202,10 @@ def test_truncated_coefficient_with_vanishing_binomial_contributes_nothing():
     # f = (1 + O(t^5)) X^2 + t X: f_1(c) = t + C(2,1) a_2 c = t exactly in
     # characteristic 2, however little of a_2 is known
     a2 = Series.make(p, [(0, 1)], Fraction(5))
-    f = ValPoly(p, (Series.zero(p), Series.t(p), a2))
+    f = ValPoly(p, (Series.zero(p), Series.monomial(p, 1), a2))
     c = Series.monomial(p, -1)
     tab = taylor_coefficients(f, c)
-    assert tab[1] == Series.t(p)
+    assert tab[1] == Series.monomial(p, 1)
     assert tab[0].precision == 3  # C(2,0) = 1: a_2 c^2 is known below 5 - 2
     assert synthetic_division_table(f, c)[1].precision is not INF
 
@@ -269,8 +269,8 @@ def test_power_sum_equals_horner_randomized():
             assert power_sum(f, x, powers) == ref
             assert power_sum(f, x, []) == ref
         assert len(powers) == p * p
-    assert power_sum(ValPoly.zero(3), Series.t(3), []) == Series.zero(3)
-    assert ValPoly.zero(3)(Series.t(3)) == Series.zero(3)
+    assert power_sum(ValPoly.zero(3), Series.monomial(3, 1), []) == Series.zero(3)
+    assert ValPoly.zero(3)(Series.monomial(3, 1)) == Series.zero(3)
 
 
 def test_power_sum_takes_powers_divisible_by_p_from_frobenius(monkeypatch):
