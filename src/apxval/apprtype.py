@@ -165,13 +165,12 @@ class ApproxType:
                     f"declared {hint}"
                 )
             return hint
-        # the values strictly increase and the cut's lower set is downward
-        # closed: the last value decides, the message names the first
-        if not compare_value_cut(self._gammas[-1], hint).lt:
-            g = next(g for g in self._gammas if not compare_value_cut(g, hint).lt)
-            raise MarkerViolation(
-                f"approximant value {g} contradicts the declared distance {hint}"
-            )
+        for g in self._gammas:
+            if not compare_value_cut(g, hint).lt:
+                raise MarkerViolation(
+                    f"approximant value {g} contradicts the declared "
+                    f"distance {hint}"
+                )
         return hint
 
     def tail(self) -> list[int]:

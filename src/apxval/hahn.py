@@ -46,7 +46,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import lt
 from sys import byteorder as _ORDER
 from typing import Callable, Iterable, Sequence
 
@@ -143,22 +142,17 @@ class Series:
         are summed, coefficients reduced mod p, and zero terms and terms at
         or past ``precision`` dropped; ``den`` is the least common
         denominator of the given exponents."""
-        terms = list(terms)
-        try:
-            dens = [e.denominator for e, _ in terms]
-        except AttributeError:  # an exponent such as "1/2" or 0.5
-            terms = [(Fraction(e), c) for e, c in terms]
-            dens = [e.denominator for e, _ in terms]
-        den = lcm(*set(dens))
-        exps = [e.numerator * (den // d) for (e, _), d in zip(terms, dens)]
-        coeffs = [c % p for _, c in terms]
-        if not (all(coeffs) and all(map(lt, exps, exps[1:]))):
-            # unsorted, repeated or zero terms: sum the like exponents
-            acc: dict[int, int] = {}
-            for k, c in zip(exps, coeffs):
-                acc[k] = acc.get(k, 0) + c
-            exps, coeffs = _reduced(acc, p)
-        exps, coeffs = _below(tuple(exps), tuple(coeffs), _cutoff(precision, den))
+        terms = tuple(terms)
+        ratios = [
+            (e if isinstance(e, (int, Fraction)) else Fraction(e)).as_integer_ratio()
+            for e, _ in terms
+        ]
+        den = lcm(*{d for _, d in ratios})
+        acc: dict[int, int] = {}
+        for (n, d), (_, c) in zip(ratios, terms):
+            k = n * (den // d)
+            acc[k] = acc.get(k, 0) + c
+        exps, coeffs = _below(*_reduced(acc, p), _cutoff(precision, den))
         _P(self, p)
         _DEN(self, den)
         _EXPS(self, exps)
