@@ -165,12 +165,14 @@ class ApproxType:
                     f"declared {hint}"
                 )
             return hint
-        for g in self._gammas:
-            if not compare_value_cut(g, hint).lt:
-                raise MarkerViolation(
-                    f"approximant value {g} contradicts the declared "
-                    f"distance {hint}"
-                )
+        # the values strictly increase and the lower set of a cut is
+        # downward closed, so the last value decides
+        if not compare_value_cut(self._gammas[-1], hint).lt:
+            g = next(g for g in self._gammas if not compare_value_cut(g, hint).lt)
+            raise MarkerViolation(
+                f"approximant value {g} contradicts the declared "
+                f"distance {hint}"
+            )
         return hint
 
     def tail(self) -> list[int]:
@@ -268,13 +270,13 @@ class ApproxType:
         """Stabilized values of the derivative evaluations g_i(c_n) on the
         tail, i = 1..deg g, or None if some of them do not stabilize."""
         tables = [
-            taylor_coefficients(g, self.approximants[n], self._powers[n])
+            taylor_coefficients(g, self.approximants[n], self._powers[n], start=1)
             for n in self.tail()
         ]
         betas: list[GroupValue] = []
         for i in range(1, g.degree() + 1):
             try:
-                beta = self._window_value([tab[i].val() for tab in tables])
+                beta = self._window_value([tab[i - 1].val() for tab in tables])
             except IndeterminateValuation:
                 return None
             if beta is None:

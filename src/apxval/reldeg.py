@@ -316,23 +316,23 @@ def reduced_factor_shape(
     if d.val() != -gam:
         raise PreconditionError("scaling element must have value -v(x - c)")
     p = f.p
-    tab = taylor_coefficients(f, c)
-    fh_c = tab[h]
+    tab = taylor_coefficients(f, c, start=1)
+    fh_c = tab[h - 1]
     v_fh = fh_c.val()
     # precision needed so every rescaled coefficient's residue is determinate
     slack = Fraction(1)
-    for i in range(1, f.degree() + 1):
-        if tab[i].is_exact_zero:
+    for i, f_i in enumerate(tab, 1):
+        if f_i.is_exact_zero:
             continue
-        need = 2 * v_fh - (tab[i].val() + (h - i) * d.val()) + 1
+        need = 2 * v_fh - (f_i.val() + (h - i) * d.val()) + 1
         slack = max(slack, need - v_fh)
     inv = invert(fh_c, v_fh + slack)
     x0 = d * (A.target - c)
     if x0.precision is not INF and x0.precision <= 0:
         raise InsufficientPrecision("rescaled element has no residue")
     coeffs = {0: Series.zero(p)}
-    for i in range(1, f.degree() + 1):
-        a_i = tab[i] * (d ** (h - i) if h >= i else invert(d ** (i - h), INF)) * inv
+    for i, f_i in enumerate(tab, 1):
+        a_i = f_i * (d ** (h - i) if h >= i else invert(d ** (i - h), INF)) * inv
         if _value_or_precision(a_i) < 0:
             raise PreconditionError(
                 f"coefficient {i} is not integral: approximant not deep enough"

@@ -15,8 +15,11 @@ from the Frobenius map x^k = (x^(k/p))^p where p divides k, which only
 multiplies exponents by p, and from the halving split
 x^k = x^ceil(k/2) * x^floor(k/2) elsewhere; the Taylor tables build theirs
 as c^k = c^(k-1) * c, so the two law routes that rest on them share
-neither a cache nor an algorithm.  Horner's scheme is only the
-reference in the tests, and gives the same series, precision included.
+neither a cache nor an algorithm.  A Taylor table may start at a row
+``start`` > 0 and then needs powers only up to c^(deg - start): the
+envelope route reads f_1(c)..f_deg(c) and never builds f(c), which only
+``power_sum`` computes.  Horner's scheme is only the reference in the
+tests, and gives the same series, precision included.
 """
 
 from __future__ import annotations
@@ -156,27 +159,31 @@ def power_sum(f: ValPoly, x: Series, powers: list[Series]) -> Series:
 
 
 def taylor_coefficients(
-    f: ValPoly, c: Series, powers: list[Series] | None = None
+    f: ValPoly, c: Series, powers: list[Series] | None = None, *, start: int = 0
 ) -> list[Series]:
-    """All f_i(c) for 0 <= i <= deg f at once, as the binomial sums
-    f_i(c) = sum_{j>=i} C(j,i) a_j c^(j-i) over the powers of c.
+    """The rows f_i(c) for start <= i <= deg f at once, as the binomial
+    sums f_i(c) = sum_{j>=i} C(j,i) a_j c^(j-i) over the powers of c.
 
+    No row below ``start`` is computed, and each returned row is exactly
+    the one the default ``start=0`` gives, precision included.
     ``powers`` is a caller-owned list [c, c^2, ...] of powers of this same
-    c, extended in place as far as deg f needs; each c^k is c^(k-1) * c,
-    so the result never depends on what the list already held.  A term is
-    skipped only when C(j,i) = 0 mod p or a_j is an exact zero: a zero
-    coefficient that is truncated still bounds the precision.
+    c, extended in place only up to c^(deg f - start); each c^k is
+    c^(k-1) * c, so the result never depends on what the list already
+    held.  A term is skipped only when C(j,i) = 0 mod p or a_j is an exact
+    zero: a zero coefficient that is truncated still bounds the precision.
     """
+    if start < 0:
+        raise PreconditionError("the first Taylor row must be nonnegative")
     if f.is_zero:
         return []
     coeffs = f.coeffs
     n = len(coeffs)
     if powers is None:
         powers = []
-    while len(powers) < n - 1:
+    while len(powers) < n - 1 - start:
         powers.append(powers[-1] * c if powers else c)
     out: list[Series] = []
-    for i, row in enumerate(_binomial_rows(f.p, n)):
+    for i, row in enumerate(_binomial_rows(f.p, n)[start:], start):
         acc = coeffs[i]
         for j, b in row:
             a = coeffs[j]

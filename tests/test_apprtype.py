@@ -413,6 +413,17 @@ def test_taylor_intercepts_build_one_table_per_tail_approximant(monkeypatch):
             assert seen == [B.approximants[n] for n in B.tail()]
 
 
+def test_taylor_intercepts_build_powers_up_to_one_below_the_degree():
+    # the tables hold the rows f_1..f_d, which read c^1..c^(d-1): no f(c)
+    for p in (2, 3):
+        f = theta_minpoly(p) * ValPoly.X(p)
+        A = theta_type(p, precision=12)
+        A.taylor_intercepts(f)
+        tail = A.tail()
+        for n, powers in enumerate(A._powers):
+            assert len(powers) == (f.degree() - 1 if n in tail else 0)
+
+
 @pytest.mark.parametrize("window", [1, 2, 4])
 def test_kaplansky_extend_returns_only_the_value_fixes_value_fixes(window):
     # at window 1 every sequence of v(g(c_n)) is constant over its window,

@@ -571,7 +571,7 @@ def test_shift_to_new_denominators():
         assert out.shift(-Fraction(e)) == s
 
 
-def test_public_constructor_converts_without_normalising():
+def test_public_constructor_scales_exponents_to_one_denominator():
     p = 7
     s = Series(p, ((Fraction(-1, 6), 3), (0, 1), (Fraction(5, 4), 6)), Fraction(3, 2))
     assert s.den == 12

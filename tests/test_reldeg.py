@@ -440,7 +440,11 @@ def test_sampled_powers_equal_the_taylor_powers():
         for sampled, taylor in zip(A._sampled_powers, A._powers):
             k = min(len(sampled), len(taylor))
             assert sampled[:k] == taylor[:k]
-        assert A._sampled_powers[-2] == A._powers[-1] != []
+        # the Taylor route stops one power short of the sampled route at
+        # the last approximant: it builds no f(c_n) row
+        c, sampled, taylor = A.approximants[-1], A._sampled_powers[-2], A._powers[-1]
+        assert taylor != [] and len(sampled) == len(taylor) + 1
+        assert sampled[-1] == taylor[-1] * c
         x = A.target
         assert A._sampled_powers[-1] == [x**k for k in range(1, p + 4)]
 

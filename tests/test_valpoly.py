@@ -173,9 +173,12 @@ def test_taylor_table_agrees_with_synthetic_division_when_truncated():
             coeffs[-1] = Series.one(p)
         f = ValPoly.make(p, coeffs)
         c = truncated_series(rng, p)
-        for got, ref in zip(
-            taylor_coefficients(f, c), synthetic_division_table(f, c)
-        ):
+        tab = taylor_coefficients(f, c)
+        # the rows from f_1 on alone, built from powers up to c^(deg - 1)
+        powers = []
+        assert taylor_coefficients(f, c, powers, start=1) == tab[1:]
+        assert len(powers) == deg - 1
+        for got, ref in zip(tab, synthetic_division_table(f, c)):
             common = min_value(got.precision, ref.precision)
             assert got.truncate(common) == ref.truncate(common)
             # the binomial sums never know less than the reference
@@ -220,8 +223,12 @@ def test_shared_powers_match_fresh_tables():
             coeffs = [truncated_series(rng, p) for _ in range(deg + 1)]
             coeffs[-1] = Series.one(p)
             f = ValPoly(p, tuple(coeffs))
-            assert taylor_coefficients(f, c, powers) == taylor_coefficients(f, c)
+            fresh = taylor_coefficients(f, c)
+            assert taylor_coefficients(f, c, powers, start=1) == fresh[1:]
+            assert taylor_coefficients(f, c, powers) == fresh
         assert len(powers) == 11 and powers[0] is c
+        with pytest.raises(PreconditionError):
+            taylor_coefficients(f, c, start=-1)
         for k in range(1, 11):
             assert powers[k] == powers[k - 1] * c
 
