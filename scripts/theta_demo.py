@@ -10,9 +10,14 @@ cut, and the residue factorization of the reduced difference."""
 import argparse
 
 from apxval.curated import theta_minpoly, theta_type
-from apxval.ordval import format_value, scale_cut, shift_cut
+from apxval.ordval import format_value
 from apxval.parsing import format_poly, format_series
-from apxval.reldeg import approx_coefficient, rel_degree, tail_factor_shape
+from apxval.reldeg import (
+    approx_coefficient,
+    coefficient_dist_law,
+    rel_degree,
+    tail_factor_shape,
+)
 
 
 def main() -> None:
@@ -38,7 +43,7 @@ def main() -> None:
               f"v(f(x) - f(c_n)) = {format_value(w)}")
 
     d, _ = approx_coefficient(A, f)
-    cut = shift_cut(d.val(), scale_cut(rd.h, A.distance()))
+    cut = coefficient_dist_law(A, rd.h, d)
     print(f"coeff    : d = {format_series(d)}, image distance {cut}")
 
     residues, root = tail_factor_shape(A, f)

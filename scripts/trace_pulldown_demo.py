@@ -5,7 +5,7 @@ the witness search over the conjugates' approximation coefficients yields
 d = s, and Tr(d*x) lands back in the base field with h(x : Tr(d*x)) = 1."""
 
 from apxval.curated import trace_pulldown_scenario
-from apxval.hahn import p_power_denominators
+from apxval.hahn import in_subfield, p_power_denominators
 from apxval.parsing import format_poly, format_series
 from apxval.reldeg import rel_degree
 
@@ -23,8 +23,7 @@ def main() -> None:
           [format_series(d) for d in sc.approx_coeffs])
     print(f"witness    : d = {format_series(sc.witness)}")
     print(f"Tr(d*x)    : {format_series(sc.trace)}")
-    base = p_power_denominators(3)
-    pulled = all(base(e) for e, _ in sc.trace.terms)
+    pulled = in_subfield(sc.trace, p_power_denominators(3))
     print(f"in base    : {pulled} (every exponent denominator a power of 3)")
     rd = rel_degree(sc.x_type, sc.trace_poly)
     print(f"h(x : Tr(d*x)) = {rd.h}")

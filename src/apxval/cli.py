@@ -175,13 +175,14 @@ def cmd_tame_witness(args, cfg):
     ds = [parse_series(text, cfg.p) for text in args.ds]
     d = valuation_independence_witness(G, sigmas, ds)
     images = [sig(d) for sig in sigmas]
-    terms = [a * di for a, di in zip(images, ds)]
     total = dot(images, ds)
     payload = {
         "witness": format_series(d),
         "sum": format_series(total),
         "sum_value": format_value(total.val()),
-        "min_value": format_value(min(t.val() for t in terms)),
+        "min_value": format_value(
+            min(a.val() + di.val() for a, di in zip(images, ds))
+        ),
     }
     return payload, f"d = {format_series(d)} (sum value {payload['sum_value']})"
 

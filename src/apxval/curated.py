@@ -13,11 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hahn import (
-    Series,
-    lattice_p_power,
-    p_power_denominators,
-)
+from .hahn import Series, dot, lattice_p_power, p_power_denominators
 from .ordval import Cut
 from .valpoly import ValPoly
 from .apprtype import ApproxType
@@ -120,24 +116,14 @@ def trace_pulldown_scenario() -> TraceScenario:
     x_type = ApproxType.from_truncations(
         x, ground, distance_hint=Cut.strictly_below(0), transcendental=True
     )
-    # conjugates rho_k(x) as linear polynomials in x
-    proxies = []
-    coeffs = []
-    for rho in G.elements():
-        sign = chi(G, rho, G.s())
-        lin = ValPoly(
-            p, (Series.zero(p), Series.monomial(p, 0, sign))
-        )
-        proxies.append(lin)
-        # a linear proxy has h = 1, and its approximation coefficient is
-        # its slope itself
-        coeffs.append(Series.monomial(p, 0, sign))
+    # a conjugate rho(x) = chi(rho) * x is linear in x, so its approximation
+    # coefficient is its slope chi(rho) itself
+    coeffs = [Series.monomial(p, 0, chi(G, rho, G.s())) for rho in G.elements()]
+    proxies = [ValPoly(p, (Series.zero(p), k)) for k in coeffs]
     d = valuation_independence_witness(G, G.elements(), coeffs)
     tr = trace_generator(G, x, d)
     # the trace as a polynomial in x: Tr(d*x) = (sum rho(d)*chi(rho)) * x
-    lead = Series.zero(p)
-    for rho in G.elements():
-        lead = lead + rho(d).scale(chi(G, rho, G.s()))
+    lead = dot([rho(d) for rho in G.elements()], coeffs)
     trace_poly = ValPoly(p, (Series.zero(p), lead))
     return TraceScenario(
         G, x, x_type, proxies, coeffs, d, tr, trace_poly

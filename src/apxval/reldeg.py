@@ -312,8 +312,8 @@ def reduced_factor_shape(
     equal (Z - r)^h where r is the residue of d*(x - c)."""
     rd = rel_degree(A, f)
     h = rd.h
-    gam = (A.target - c).val()
-    if d.val() != -gam:
+    xc = A.target - c
+    if d.val() != -xc.val():
         raise PreconditionError("scaling element must have value -v(x - c)")
     p = f.p
     tab = taylor_coefficients(f, c, start=1)
@@ -327,21 +327,24 @@ def reduced_factor_shape(
         need = 2 * v_fh - (f_i.val() + (h - i) * d.val()) + 1
         slack = max(slack, need - v_fh)
     inv = invert(fh_c, v_fh + slack)
-    x0 = d * (A.target - c)
+    x0 = d * xc
     if x0.precision is not INF and x0.precision <= 0:
         raise InsufficientPrecision("rescaled element has no residue")
-    coeffs = {0: Series.zero(p)}
+    coeffs = [Series.zero(p)]
+    power = Series.one(p)
     for i, f_i in enumerate(tab, 1):
         a_i = f_i * (d ** (h - i) if h >= i else invert(d ** (i - h), INF)) * inv
         if _value_or_precision(a_i) < 0:
             raise PreconditionError(
                 f"coefficient {i} is not integral: approximant not deep enough"
             )
-        coeffs[i] = a_i
-        coeffs[0] = coeffs[0] - a_i * x0 ** i
+        coeffs.append(a_i)
+        # x0 ** i exactly, precision included, as v(x0) = 0 in every order
+        power = power * x0
+        coeffs[0] = coeffs[0] - a_i * power
     if _value_or_precision(coeffs[0]) < 0:
         raise PreconditionError("constant term is not integral")
-    residues = [coeffs[i].residue() for i in range(f.degree() + 1)]
+    residues = [a.residue() for a in coeffs]
     r = x0.residue()
     expected = _power_of_linear(p, r, h, f.degree())
     if residues != expected:

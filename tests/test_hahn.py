@@ -909,3 +909,26 @@ def test_decimal_route_needs_digit_residues_below_a_byte(
     prod = a * b
     assert decimal_digits == []
     assert_same_representation(prod, pairwise(monkeypatch, a.__mul__, b))
+
+
+def test_running_unit_power_equals_pow_randomized():
+    # a unit u (v(u) = 0) has u^i known up to prec(u) in every product
+    # order, so the running product u^(i-1) * u is u ** i exactly
+    rng = random.Random(8080)
+    for p in (2, 3, 5, 7):
+        dens = (1, 2, 3, p, p * p, 2 * p, 6)
+        for _ in range(40):
+            terms = [(Fraction(0), rng.randint(1, p - 1))]
+            for _ in range(rng.randint(0, 4)):
+                e = Fraction(rng.randint(1, 12), rng.choice(dens))
+                terms.append((e, rng.randint(1, p - 1)))
+            prec = Fraction(rng.randint(1, 8), rng.choice(dens))
+            u = Series.make(p, terms, prec)
+            assert u.val() == 0
+            power = Series.one(p)
+            for i in range(1, 13):
+                power = power * u
+                expected = u ** i
+                assert power == expected, (u, i)
+                assert hash(power) == hash(expected)
+                assert power.precision == expected.precision

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -333,6 +334,24 @@ def test_reduced_factor_shape_theta(p):
         if sum(cf * pow(z, i, p) for i, cf in enumerate(residues)) % p == 0
     ]
     assert roots == [r % p]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_reduced_factor_shape_with_every_residue_root(p):
+    # d = u * t^(-gamma) puts the root at r = u, so r^i differs between
+    # powers i and the shape reads every power x0^i as it is
+    A = theta_type(p)
+    n = A.tail()[-1]
+    c = A.approximants[n]
+    linear = ValPoly(p, (Series.one(p), Series.monomial(p, 0, 2)))
+    for f in (theta_minpoly(p), linear):
+        h = f.degree()
+        for u in range(1, p):
+            d = Series.monomial(p, -A.gamma(n), u)
+            residues = reduced_factor_shape(A, f, c, d)
+            assert (d * (A.target - c)).residue() == u
+            expected = [comb(h, i) * (-u) ** (h - i) % p for i in range(h + 1)]
+            assert residues == expected
 
 
 def test_reduced_factor_shape_linear():

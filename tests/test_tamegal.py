@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from test_hahn import assert_series_invariants
 
-from apxval.errors import PreconditionError
+from apxval.errors import IndeterminateValuation, PreconditionError
 from apxval.hahn import Series
+from apxval.ordval import INF
 from apxval.tamegal import (
     GaloisElem,
     TameCyclic,
@@ -15,7 +16,6 @@ from apxval.tamegal import (
     standard_basis_decompose,
     trace,
     trace_generator,
-    _witness_works,
     valuation_independence_witness,
 )
 
@@ -154,15 +154,36 @@ def test_witness_randomized_1000():
                         rng.randint(1, p - 1),
                     )
                 )
-            ds.append(Series.make(p, terms))
+            prec = Fraction(rng.randint(1, 9), n) if rng.random() < 0.5 else INF
+            ds.append(Series.make(p, terms, prec))
         d = valuation_independence_witness(G, sigmas, ds)
-        # re-verify with full series arithmetic
-        terms = [sig(d) * di for sig, di in zip(sigmas, ds)]
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-        assert total.val() == min(t.val() for t in terms)
+        # re-verify with full series arithmetic: s^m works and no s^j,
+        # j < m, does
+        m = int(d.val() * n)
+        assert d == Series.monomial(p, Fraction(m, n))
+        for j in range(m + 1):
+            cand = Series.monomial(p, Fraction(j, n))
+            terms = [sig(cand) * di for sig, di in zip(sigmas, ds)]
+            total = sum(terms[1:], terms[0])
+            least = min(t.val() for t in terms)
+            if j == m:
+                assert total.val() == least
+            else:
+                try:
+                    assert total.val() > least
+                except IndeterminateValuation:
+                    pass
         count += 1
+
+
+def test_witness_refuses_mixed_primes():
+    G = TameCyclic.make(3, 2)
+    with pytest.raises(PreconditionError, match="mixed primes"):
+        valuation_independence_witness(
+            G, G.elements(), [Series.one(3), Series.one(5)]
+        )
+    with pytest.raises(PreconditionError, match="mixed primes"):
+        valuation_independence_witness(G, [G.element(0)], [Series.one(5)])
 
 
 def test_standard_basis_decompose_example():
@@ -245,5 +266,4 @@ def test_indeterminate_witness_sum_fails_the_candidate_cleanly():
     ds = [d1, -d1]
     # for d = 1 the sum is O(t): its value is indeterminate, so the
     # candidate fails instead of raising
-    assert _witness_works(G, Series.one(3), sigmas, ds) is False
     assert valuation_independence_witness(G, sigmas, ds) == G.s()
