@@ -30,7 +30,7 @@ from .errors import (
     MarkerViolation,
     PreconditionError,
 )
-from .hahn import Series, SubfieldPredicate, in_subfield
+from .hahn import Series, SubfieldPredicate, _first_outside, min_value, val_diff
 from .ordval import (
     INF,
     Cut,
@@ -40,7 +40,7 @@ from .ordval import (
     scale_cut,
     shift_cut,
 )
-from .valpoly import ValPoly, taylor_coefficients
+from .valpoly import ValPoly, power_sum, taylor_coefficients
 from .envelope import envelope_law, fit_tail_law
 
 
@@ -87,15 +87,17 @@ class ApproxType:
     # there is none: no ground element cancels that term, so the distance
     # is attained there
     _attained: Optional[Cut] = field(init=False, repr=False, compare=False)
-    # [c_n, c_n^2, ...] per approximant, grown by the Taylor tables
+    # [c_n, c_n^2, ...] per approximant, grown by the Taylor tables only
+    # as far as the rows they return read
     _powers: tuple[list[Series], ...] = field(
         init=False, repr=False, compare=False
     )
-    # the sampled law route's own powers, grown by valpoly.power_sum (the
-    # Frobenius map where p divides k, the halving split elsewhere): one
-    # list per approximant, then one for the target; never shared with
-    # _powers, so the two law routes stay independent
-    _sampled_powers: tuple[list[Series], ...] = field(
+    # the sampled law route's own powers {k: c_n^k}, filled by
+    # valpoly.power_sum for the k it reads (the Frobenius map where p
+    # divides k, the halving split elsewhere): one dict per approximant,
+    # then one for the target; never shared with _powers, so the two law
+    # routes stay independent
+    _sampled_powers: tuple[dict[int, Series], ...] = field(
         init=False, repr=False, compare=False
     )
 
@@ -110,13 +112,14 @@ class ApproxType:
     def __post_init__(self):
         if not self.approximants:
             raise PreconditionError("a type needs at least one approximant")
+        outside = _first_outside(self.approximants, self.ground)
         gammas = []
-        for c in self.approximants:
-            if not in_subfield(c, self.ground):
+        for n, c in enumerate(self.approximants):
+            if n == outside:
                 raise PreconditionError(
                     "approximant leaves the ground field"
                 )
-            g = (self.target - c).val()
+            g = val_diff(self.target, c)
             if gammas and not g > gammas[-1]:
                 raise PreconditionError(
                     "approximant values must strictly increase"
@@ -132,7 +135,7 @@ class ApproxType:
         object.__setattr__(
             self,
             "_sampled_powers",
-            tuple([] for _ in range(len(self.approximants) + 1)),
+            tuple({} for _ in range(len(self.approximants) + 1)),
         )
 
     def gamma(self, n: int) -> GroupValue:
@@ -328,22 +331,25 @@ def pushed_forward(
     A: ApproxType, f: ValPoly, h: int, beta: GroupValue
 ) -> ApproxType:
     """The type of f(target) over the same ground, with image approximants
-    f(c_n) and the distance transported along the affine law."""
-    target = f(A.target)
+    f(c_n) and the distance transported along the affine law.  The images
+    are power sums over A's sampled powers, which ``rel_degree(A, f)``
+    has filled."""
+    powers = A._sampled_powers
+    target = power_sum(f, A.target, powers[-1])
     hint = shift_cut(beta, scale_cut(h, A.distance()))
     # The affine law only holds eventually, so early image approximants may
     # repeat a distance value; keep the longest suffix along which the
     # distance strictly increases (a suffix has the same distance cut).
-    images = [f(c) for c in A.approximants]
+    images = [power_sum(f, c, ps) for c, ps in zip(A.approximants, powers)]
     start = 0
     prev = None
     for i, c in enumerate(images):
-        diff = target - c
         try:
-            g = diff.val()
+            g = val_diff(target, c)
         except IndeterminateValuation as exc:
+            prec = min_value(target.precision, c.precision)
             raise InsufficientPrecision(
-                f"f(c_{i}) agrees with f(x) up to precision {diff.precision}"
+                f"f(c_{i}) agrees with f(x) up to precision {prec}"
             ) from exc
         if prev is not None and not g > prev:
             start = i

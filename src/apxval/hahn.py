@@ -10,12 +10,12 @@ The terms are stored as two parallel tuples of ints of one length:
 per series, strictly increasing, and ``coeffs``, their coefficients in
 1..p-1.  No term is a tuple of its own, so a dense product decodes its
 slots straight into the two tuples.  The kernels (+, *, dot, frobenius,
-scale, truncate, coeff, residue, invert) run on these integers, and inside
-them an operand is an (exps, coeffs) pair.  Where operand denominators
-differ the exponents are rescaled to lcm(den_a, den_b); the coefficients
-never depend on the denominator, and a kernel that keeps the exponents
-(``scale``) or the coefficients (``frobenius``, a shift by t^e) reuses
-that tuple.  Negation is ``scale(-1)`` and ``shift`` a product with a
+scale, truncate, coeff, residue, invert, val_diff) run on these integers,
+and inside them an operand is an (exps, coeffs) pair.  Where operand
+denominators differ the exponents are rescaled to lcm(den_a, den_b); the
+coefficients never depend on the denominator, and a kernel that keeps the
+exponents (``scale``) or the coefficients (``frobenius``, a shift by t^e)
+reuses that tuple.  Negation is ``scale(-1)`` and ``shift`` a product with a
 monomial.  ``frobenius`` is the p-th power with no product: over F_p,
 (sum c t^e)^p = sum c t^(p e).  ``Fraction`` appears only at the API
 boundary: the derived ``terms`` view, ``val()``, ``leading()``,
@@ -748,6 +748,31 @@ def dot(xs: Sequence[Series], ys: Sequence[Series]) -> Series:
     return _from_ints(p, den, exps, coeffs, prec)
 
 
+def val_diff(a: Series, b: Series) -> GroupValue:
+    """(a - b).val() without forming a - b, raising where it raises.
+
+    The difference's least term lies at the first index where the two term
+    tuples part, over the common denominator: an exponent only one side
+    holds, or two unequal coefficients.  It is a term of a - b when it lies
+    below the lesser precision; else a - b is zero up to that precision.
+    """
+    a._require_same_p(b)
+    prec = min_value(a.precision, b.precision)
+    den, ea, eb = _common(a, b)
+    ca, cb = a.coeffs, b.coeffs
+    i = next(
+        (i for i, (x, y) in enumerate(zip(ea, eb)) if x != y or ca[i] != cb[i]),
+        min(len(ea), len(eb)),
+    )
+    parted = ea[i : i + 1] + eb[i : i + 1]
+    cut = _cutoff(prec, den)
+    if parted and (cut is None or min(parted) < cut):
+        return _fraction(min(parted), den)
+    if prec is INF:
+        return INF
+    raise IndeterminateValuation(f"series is zero up to precision {prec}")
+
+
 def invert(a: Series, target_precision: GroupValue) -> Series:
     """Multiplicative approximate inverse: v(a*inv - 1) >= target - v(a)."""
     va = a.val()
@@ -812,5 +837,17 @@ def truncate_to_subfield(
 
 
 def in_subfield(x: Series, pred: SubfieldPredicate) -> bool:
-    den = x.den
-    return all(pred(_fraction(k, den)) for k in x.exps)
+    return _first_outside((x,), pred) is None
+
+
+def _first_outside(xs: Sequence[Series], pred: SubfieldPredicate) -> int | None:
+    """The index of the first series in ``xs`` with an exponent ``pred``
+    refuses, or None.  Each exponent k over a denominator den is tested
+    once however many series hold it, as the prefixes of one series do."""
+    accepted = set()
+    for i, x in enumerate(xs):
+        new = set(zip(x.exps, repeat(x.den))) - accepted
+        if not all(pred(_fraction(k, den)) for k, den in new):
+            return i
+        accepted |= new
+    return None

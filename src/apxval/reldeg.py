@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     StabilizationError,
 )
-from .hahn import Series, _prime_to_p, dot, invert
+from .hahn import Series, _prime_to_p, dot, invert, val_diff
 from .ordval import INF, Cut, GroupValue, is_finite, scale_cut, shift_cut
 from .valpoly import (
     ValPoly,
@@ -44,9 +44,14 @@ class RelDegree:
     taylor_intercepts: tuple[GroupValue, ...]
     # the intercept family's order threshold: the law holds for gamma past it
     threshold: Fraction
-    # tail points the sampled route checked the law on; 0 when it found
-    # fewer than two, and (h, beta) rests on the envelope alone
-    sampled_points: int
+    # the tail points (gamma_n, v(f(x) - f(c_n))) past the threshold that
+    # the sampled route checked the law on; none when it found fewer than
+    # two, and (h, beta) rests on the envelope alone
+    points: tuple[tuple[GroupValue, GroupValue], ...]
+
+    @property
+    def sampled_points(self) -> int:
+        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ def _tail_values(
         if above is not None and not g > above:
             continue
         try:
-            w = (fx - power_sum(f, A.approximants[n], powers[n])).val()
+            w = val_diff(fx, power_sum(f, A.approximants[n], powers[n]))
         except IndeterminateValuation:
             continue
         if w is INF:
@@ -93,9 +98,9 @@ def _check_tail_law(points, h: int, beta: GroupValue, message: str):
 
 def sampled_law(
     A: ApproxType, f: ValPoly, above: Optional[GroupValue] = None
-) -> tuple[int, GroupValue, int]:
+) -> tuple[int, GroupValue, tuple[tuple[GroupValue, GroupValue], ...]]:
     """Fit v(f(x) - f(c_n)) = beta + h * gamma_n exactly on the tail:
-    (h, beta, the number of tail points fitted).
+    (h, beta, the tail points (gamma_n, v(f(x) - f(c_n))) fitted).
 
     The affine law only holds once gamma_n has passed every crossing of the
     derivative-value family; callers that know that threshold pass it as
@@ -108,7 +113,7 @@ def sampled_law(
         h, beta = fit_tail_law(pts)
     except StabilizationError as exc:
         raise InternalInconsistency(f"sampled tail: {exc}") from exc
-    return h, beta, len(pts)
+    return h, beta, tuple(pts)
 
 
 def rel_degree(A: ApproxType, f: ValPoly) -> RelDegree:
@@ -127,7 +132,7 @@ def rel_degree(A: ApproxType, f: ValPoly) -> RelDegree:
         h_s, beta_s, points = sampled_law(A, f, above=threshold)
     except InsufficientPrecision:
         # nothing to sample; the envelope answers alone
-        return RelDegree(h, beta, tuple(betas), threshold, 0)
+        return RelDegree(h, beta, tuple(betas), threshold, ())
     if (h_s, beta_s) != (h, beta):
         raise InternalInconsistency(
             f"envelope gives (h={h}, beta={beta}) but the sampled tail law "
@@ -226,9 +231,11 @@ def approx_coefficient(A: ApproxType, f: ValPoly) -> tuple[Series, RelDegree]:
         cand = last.prefix(k)
         if _certify_coefficient(samples, cand):
             # the defining identity v(f(x) - f(c_n)) = v(d * (x - c_n)^h),
-            # on the tail points past the threshold where the law holds
+            # on the tail points past the threshold where the law holds:
+            # those rel_degree sampled, unless it found fewer than two
             _check_tail_law(
-                _tail_values(A, f, above=rd.threshold), rd.h, cand.val(),
+                rd.points or _tail_values(A, f, above=rd.threshold),
+                rd.h, cand.val(),
                 "approximation coefficient fails the defining value identity",
             )
             return cand, rd
@@ -310,6 +317,14 @@ def reduced_factor_shape(
 ) -> list[int]:
     """Coefficientwise residue of the rescaled difference polynomial; must
     equal (Z - r)^h where r is the residue of d*(x - c)."""
+    return _factor_shape(A, f, c, d)[0]
+
+
+def _factor_shape(
+    A: ApproxType, f: ValPoly, c: Series, d: Series
+) -> tuple[list[int], int]:
+    """``reduced_factor_shape`` with the root r, read off the one
+    x0 = d*(x - c) the shape is built from."""
     rd = rel_degree(A, f)
     h = rd.h
     xc = A.target - c
@@ -330,10 +345,16 @@ def reduced_factor_shape(
     x0 = d * xc
     if x0.precision is not INF and x0.precision <= 0:
         raise InsufficientPrecision("rescaled element has no residue")
+    # d^0, d^1, ...: row i scales by d^(h - i), or past h by the inverse
+    # of d^(i - h)
+    d_powers = [Series.one(p)]
+    while len(d_powers) < max(h, len(tab) - h + 1):
+        d_powers.append(d_powers[-1] * d)
     coeffs = [Series.zero(p)]
     power = Series.one(p)
     for i, f_i in enumerate(tab, 1):
-        a_i = f_i * (d ** (h - i) if h >= i else invert(d ** (i - h), INF)) * inv
+        scale = d_powers[h - i] if h >= i else invert(d_powers[i - h], INF)
+        a_i = f_i * scale * inv
         if _value_or_precision(a_i) < 0:
             raise PreconditionError(
                 f"coefficient {i} is not integral: approximant not deep enough"
@@ -351,16 +372,16 @@ def reduced_factor_shape(
         raise InternalInconsistency(
             f"residue polynomial {residues} is not (Z - {r})^{h}"
         )
-    return residues
+    return residues, r
 
 
 def tail_factor_shape(A: ApproxType, f: ValPoly) -> tuple[list[int], int]:
     """``reduced_factor_shape`` at the last tail approximant c, scaled by
     d = t^(-v(x - c)): the residues and the root r of (Z - r)^h."""
     n = A.tail()[-1]
-    c = A.approximants[n]
-    d = Series.monomial(f.p, -A.gamma(n))
-    return reduced_factor_shape(A, f, c, d), (d * (A.target - c)).residue()
+    return _factor_shape(
+        A, f, A.approximants[n], Series.monomial(f.p, -A.gamma(n))
+    )
 
 
 def _power_of_linear(p: int, r: int, h: int, degree: int) -> list[int]:

@@ -7,19 +7,21 @@ the p-adic binomial valuation fact used to bound relative approximation
 degrees.
 
 A polynomial evaluates one way: ``power_sum`` sums a_j * x^j in one
-``hahn.dot`` pass over a list of powers of x, so with monomial
+``hahn.dot`` pass over a dict {k: x^k} of powers of x, so with monomial
 coefficients nearly every product is a one-term shift and no partial sum
-is built.  ``f(x)`` is ``power_sum`` over a fresh list; the sampled law
-route passes a list the caller keeps across polynomials.  Its powers come
-from the Frobenius map x^k = (x^(k/p))^p where p divides k, which only
-multiplies exponents by p, and from the halving split
-x^k = x^ceil(k/2) * x^floor(k/2) elsewhere; the Taylor tables build theirs
-as c^k = c^(k-1) * c, so the two law routes that rest on them share
-neither a cache nor an algorithm.  A Taylor table may start at a row
-``start`` > 0 and then needs powers only up to c^(deg - start): the
-envelope route reads f_1(c)..f_deg(c) and never builds f(c), which only
-``power_sum`` computes.  Horner's scheme is only the reference in the
-tests, and gives the same series, precision included.
+is built.  ``f(x)`` is ``power_sum`` over a fresh dict; the sampled law
+route passes a dict the caller keeps across polynomials.  Powers are built
+on demand: x^k only where a_k is not an exact zero, from the Frobenius map
+x^k = (x^(k/p))^p where p divides k, which only multiplies exponents by p,
+and from the halving split x^k = x^ceil(k/2) * x^floor(k/2) elsewhere, so
+X^p - X - 1/t reads x and its Frobenius image alone.  The Taylor tables
+build theirs as c^k = c^(k-1) * c, so the two law routes that rest on them
+share neither a cache nor an algorithm, and only as far as a returned row
+reads them: a term C(j,i) a_j c^(j-i) needs c^(j-i) only when the binomial
+survives mod p and a_j is not an exact zero.  A Taylor table may start at
+a row ``start`` > 0: the envelope route reads f_1(c)..f_deg(c) and never
+builds f(c), which only ``power_sum`` computes.  Horner's scheme is only
+the reference in the tests, and gives the same series, precision included.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ class ValPoly:
     @staticmethod
     def constant(c: Series) -> "ValPoly":
         return ValPoly.make(c.p, (c,))
-
-    @staticmethod
-    def X(p: int) -> "ValPoly":
-        return ValPoly(p, (Series.zero(p), Series.one(p)))
 
     @property
     def is_zero(self) -> bool:
@@ -105,7 +103,7 @@ class ValPoly:
 
     def __call__(self, x: Series) -> Series:
         """f(x): ``power_sum`` over powers of x built for this call."""
-        return power_sum(self, x, [])
+        return power_sum(self, x, {})
 
     def compose(self, other: "ValPoly") -> "ValPoly":
         acc = ValPoly.zero(self.p)
@@ -132,30 +130,40 @@ def formal_derivative(f: ValPoly, i: int) -> ValPoly:
     )
 
 
-def power_sum(f: ValPoly, x: Series, powers: list[Series]) -> Series:
+def power_sum(f: ValPoly, x: Series, powers: dict[int, Series]) -> Series:
     """f(x) as the sum a_0 + sum_{j>=1} a_j x^j over the powers of x.
 
-    ``powers`` is a caller-owned list [x, x^2, ...] of powers of this same
-    x, extended in place as far as deg f needs; x^k is the Frobenius image
-    of x^(k/p) (``Series.frobenius``, no product) when p divides k, and
+    ``powers`` is a caller-owned dict {k: x^k} of powers of this same x.
+    It gains x^k only where a_k is not an exact zero, together with the
+    powers the rule needs to reach it: x^k is the Frobenius image of
+    x^(k/p) (``Series.frobenius``, no product) when p divides k, and
     x^ceil(k/2) * x^floor(k/2) otherwise, so the result never depends on
-    what the list already held.  The sum is one ``dot``: a zero
-    coefficient that is truncated still bounds the precision through its
-    product with x^j.
+    what the dict already held.  The sum is one ``dot`` over the pairs
+    with a coefficient that is not an exact zero: an exact zero adds no
+    term and no precision bound, while a zero coefficient that is
+    truncated still bounds the precision through its product with x^j.
     """
-    coeffs = f.coeffs
-    if not coeffs:
-        return Series.zero(f.p)
-    p = x.p
-    while len(powers) < len(coeffs) - 1:
-        k = len(powers) + 1
+    xs, ys = [], []
+    for k, a in enumerate(f.coeffs):
+        if not a.is_exact_zero:
+            xs.append(a)
+            ys.append(_power(x, k, powers) if k else Series.one(f.p))
+    return dot(xs, ys) if xs else Series.zero(f.p)
+
+
+def _power(x: Series, k: int, powers: dict[int, Series]) -> Series:
+    """x^k for k >= 1 by ``power_sum``'s rule, entered in ``powers`` with
+    every power the rule reads on the way."""
+    out = powers.get(k)
+    if out is None:
         if k == 1:
-            powers.append(x)
-        elif k % p == 0:
-            powers.append(powers[k // p - 1].frobenius())
+            out = x
+        elif k % x.p == 0:
+            out = _power(x, k // x.p, powers).frobenius()
         else:
-            powers.append(powers[k - k // 2 - 1] * powers[k // 2 - 1])
-    return dot(coeffs, [Series.one(f.p), *powers])
+            out = _power(x, k - k // 2, powers) * _power(x, k // 2, powers)
+        powers[k] = out
+    return out
 
 
 def taylor_coefficients(
@@ -165,12 +173,13 @@ def taylor_coefficients(
     sums f_i(c) = sum_{j>=i} C(j,i) a_j c^(j-i) over the powers of c.
 
     No row below ``start`` is computed, and each returned row is exactly
-    the one the default ``start=0`` gives, precision included.
+    the one the default ``start=0`` gives, precision included.  A term is
+    skipped only when C(j,i) = 0 mod p or a_j is an exact zero: a zero
+    coefficient that is truncated still bounds the precision.
     ``powers`` is a caller-owned list [c, c^2, ...] of powers of this same
-    c, extended in place only up to c^(deg f - start); each c^k is
-    c^(k-1) * c, so the result never depends on what the list already
-    held.  A term is skipped only when C(j,i) = 0 mod p or a_j is an exact
-    zero: a zero coefficient that is truncated still bounds the precision.
+    c, extended in place as c^k = c^(k-1) * c only up to the largest j - i
+    of a term the returned rows read, so the result never depends on what
+    the list already held.
     """
     if start < 0:
         raise PreconditionError("the first Taylor row must be nonnegative")
@@ -180,7 +189,11 @@ def taylor_coefficients(
     n = len(coeffs)
     if powers is None:
         powers = []
-    while len(powers) < n - 1 - start:
+    reach = max(
+        (r for r, a in zip(_reach(f.p, n, start), coeffs) if not a.is_exact_zero),
+        default=0,
+    )
+    while len(powers) < reach:
         powers.append(powers[-1] * c if powers else c)
     out: list[Series] = []
     for i, row in enumerate(_binomial_rows(f.p, n)[start:], start):
@@ -203,6 +216,16 @@ def _binomial_rows(p: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(
         tuple((j, b) for j in range(i + 1, n) if (b := comb(j, i) % p))
         for i in range(n)
+    )
+
+
+@lru_cache(maxsize=256)
+def _reach(p: int, n: int, start: int) -> tuple[int, ...]:
+    """Entry j < n is the largest j - i over the rows i >= ``start`` that
+    read a_j, that is, with C(j,i) != 0 mod p; 0 when no such row reads it."""
+    return tuple(
+        max((j - i for i in range(start, j) if comb(j, i) % p), default=0)
+        for j in range(n)
     )
 
 

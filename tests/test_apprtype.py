@@ -274,7 +274,7 @@ def test_kaplansky_requires_marker():
     p = 3
     A = theta_type(p)
     with pytest.raises(PreconditionError):
-        A.kaplansky_extend(ValPoly.X(p))
+        A.kaplansky_extend(ValPoly.make(p, [Series.zero(p), Series.one(p)]))
 
 
 def test_kaplansky_product_rule():
@@ -345,6 +345,30 @@ def test_strictly_increasing_approximants_enforced():
         )
 
 
+def test_approximant_outside_the_ground_is_refused_in_any_position():
+    # the approximants need not be prefixes of the target: each exponent is
+    # tested against the ground once, wherever it first appears
+    p = 3
+    x = theta_target(p)
+    ground = p_power_denominators(p)
+    c1, c2 = x.prefix(1), x.prefix(2)
+    off = Series.monomial(p, Fraction(1, 2))  # 1/2 is not in Z[1/3]
+    for approximants in (
+        (c1 + off, c2),
+        (c1, c2 + off),
+        (Series.zero(p), c2, c2 + off.shift(1)),
+    ):
+        with pytest.raises(PreconditionError, match="leaves the ground field"):
+            ApproxType(x, ground, approximants)
+    # a non-prefix approximant whose every exponent is in the ground stands
+    wide = ApproxType(x, ground, (c1 + Series.monomial(p, 5), c2))
+    assert wide.gammas() == [Fraction(-1, 9), Fraction(-1, 27)]
+    # the approximants are refused in order: a value that fails to increase
+    # before the approximant that leaves the ground is reported first
+    with pytest.raises(PreconditionError, match="strictly increase"):
+        ApproxType(x, ground, (c2, c1, c2 + off))
+
+
 def test_empty_approximants_rejected():
     p = 3
     with pytest.raises(PreconditionError, match="at least one approximant"):
@@ -355,20 +379,34 @@ def test_empty_approximants_rejected():
 
 
 def _cache_is_empty(A):
-    return len(A._powers) == len(A.approximants) and not any(A._powers)
+    return (
+        len(A._powers) == len(A.approximants)
+        and len(A._sampled_powers) == len(A.approximants) + 1
+        and not any(A._powers)
+        and not any(A._sampled_powers)
+    )
+
+
+def _reads_powers(p):
+    """theta_minpoly(p) times X: the row f_1 reads a_(p+1) c^p, where
+    theta_minpoly(p) alone, whose binomials C(p, i) vanish mod p, reads no
+    power of c."""
+    return theta_minpoly(p) * ValPoly.make(p, [Series.zero(p), Series.one(p)])
 
 
 def test_power_cache_reuse_keeps_the_intercepts():
     for p in (2, 3):
         f = theta_minpoly(p)
+        g = _reads_powers(p)
         warm = theta_type(p, precision=12)
-        first = warm.taylor_intercepts(f * f)
+        first = warm.taylor_intercepts(g * g)
         assert not _cache_is_empty(warm)
-        assert warm.taylor_intercepts(f * f) == first
+        assert warm.taylor_intercepts(g * g) == first
         # a lower degree after a higher one reads a prefix of the powers
-        assert warm.taylor_intercepts(f) == theta_type(
-            p, precision=12
-        ).taylor_intercepts(f)
+        for h in (g, f):
+            assert warm.taylor_intercepts(h) == theta_type(
+                p, precision=12
+            ).taylor_intercepts(h)
 
 
 def test_power_cache_is_invisible_to_eq_hash_and_repr():
@@ -376,8 +414,14 @@ def test_power_cache_is_invisible_to_eq_hash_and_repr():
     warm = theta_type(p)
     # equal fields, the ground predicate included (it compares by identity)
     cold = replace(warm)
-    warm.taylor_intercepts(theta_minpoly(p))
+    warm.taylor_intercepts(_reads_powers(p))
     assert _cache_is_empty(cold) and not _cache_is_empty(warm)
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    # the sampled route's dicts are as invisible
+    rel_degree(warm, theta_minpoly(p))
+    assert any(warm._sampled_powers) and not any(cold._sampled_powers)
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
@@ -387,7 +431,9 @@ def test_replace_and_push_forward_start_with_an_empty_cache():
     p = 3
     A = theta_type(p)
     f = theta_minpoly(p)
-    A.taylor_intercepts(f)
+    A.taylor_intercepts(_reads_powers(p))
+    rel_degree(A, f)
+    assert any(A._powers) and any(A._sampled_powers)
     assert _cache_is_empty(replace(A, window=3))
     res = A.fixes_value(f)
     assert _cache_is_empty(pushed_forward(A, f, res.h, res.beta))
@@ -406,7 +452,8 @@ def test_taylor_intercepts_build_one_table_per_tail_approximant(monkeypatch):
     monkeypatch.setattr(apprtype, "taylor_coefficients", counting)
     A = theta_type(3)
     for B in (A, replace(A, tail_depth=2), replace(A, tail_depth=20)):
-        for f in (theta_minpoly(3), ValPoly.X(3)):
+        X = ValPoly.make(3, [Series.zero(3), Series.one(3)])
+        for f in (theta_minpoly(3), X):
             seen.clear()
             B.taylor_intercepts(f)
             assert len(seen) == min(len(B.approximants), B.tail_depth)
@@ -416,7 +463,8 @@ def test_taylor_intercepts_build_one_table_per_tail_approximant(monkeypatch):
 def test_taylor_intercepts_build_powers_up_to_one_below_the_degree():
     # the tables hold the rows f_1..f_d, which read c^1..c^(d-1): no f(c)
     for p in (2, 3):
-        f = theta_minpoly(p) * ValPoly.X(p)
+        X = ValPoly.make(p, [Series.zero(p), Series.one(p)])
+        f = theta_minpoly(p) * X
         A = theta_type(p, precision=12)
         A.taylor_intercepts(f)
         tail = A.tail()

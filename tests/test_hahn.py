@@ -19,6 +19,7 @@ from apxval.hahn import (
     min_value,
     p_power_denominators,
     truncate_to_subfield,
+    val_diff,
 )
 from apxval.ordval import INF
 from apxval.tamegal import TameCyclic
@@ -216,6 +217,66 @@ def differential_operand(rng, p):
     else:
         prec = Fraction(rng.randint(-12, 60), rng.choice([1, 4, 5, 7]))
     return Series.make(p, terms, prec)
+
+
+def _val_or_raise(thunk):
+    """thunk()'s value, or the IndeterminateValuation message it raised."""
+    try:
+        return thunk()
+    except IndeterminateValuation as exc:
+        return ("raised", str(exc))
+
+
+def _sharing_pair(rng, p):
+    """Two series agreeing on a long prefix: a, and a's first k terms
+    followed by a random tail, either side exact or truncated."""
+    a = random_series(rng, p, max_terms=30, max_den=rng.choice([1, 4, 12, 60]),
+                      exact=rng.random() < 0.4)
+    k = rng.randint(0, len(a.exps))
+    head = a.prefix(k)
+    tail = random_series(rng, p, max_terms=4, max_den=rng.choice([1, 3, 7]))
+    if head.exps and tail.exps:
+        tail = tail.shift(head.val() - tail.val() + Fraction(rng.randint(0, 6), 5))
+    b = head + tail
+    if rng.random() < 0.6:
+        b = b.truncate(Fraction(rng.randint(-10, 40), rng.choice([1, 2, 9])))
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+def test_val_diff_equals_the_value_of_the_difference_randomized():
+    # the reference forms a - b; val_diff must agree on every value and on
+    # every raise, message included
+    rng = random.Random(20261020)
+    raised = shared = 0
+    for trial in range(6000):
+        p = (2, 3, 5, 7)[trial % 4]
+        if trial % 3 == 0:
+            a, b = _sharing_pair(rng, p)
+            shared += 1
+        else:
+            a = differential_operand(rng, p)
+            b = differential_operand(rng, p) if rng.random() < 0.7 else a
+        want = _val_or_raise(lambda: (a - b).val())
+        assert _val_or_raise(lambda: val_diff(a, b)) == want, (a, b)
+        raised += isinstance(want, tuple)
+    assert raised > 300 and shared == 2000
+    with pytest.raises(PreconditionError, match="mixed primes"):
+        val_diff(Series.one(2), Series.one(3))
+
+
+def test_val_diff_on_the_images_of_a_theta_type():
+    # f(x) and f(c_n) share a prefix that grows along the tail
+    from apxval.curated import theta_minpoly, theta_type
+
+    for p in (2, 3, 5):
+        A = theta_type(p)
+        f = theta_minpoly(p)
+        fx = f(A.target)
+        for c in A.approximants:
+            fc = f(c)
+            want = _val_or_raise(lambda: (fx - fc).val())
+            assert _val_or_raise(lambda: val_diff(fx, fc)) == want
+            assert _val_or_raise(lambda: val_diff(fc, fx)) == want
 
 
 def test_add_mul_match_make_definition_randomized():

@@ -217,8 +217,6 @@ TEST_ONLY_NAMES = {
         "the ground truncation below a value, certified to lie in the ground",
     "reldeg.py:rel_degree_general":
         "the value law of any polynomial through its f-adic digits",
-    "valpoly.py:ValPoly.X":
-        "the polynomial X, the ring generator polynomials are built from",
 }
 
 

@@ -35,6 +35,7 @@ from apxval.reldeg import (
     rel_degree,
     rel_degree_general,
     sampled_law,
+    tail_factor_shape,
 )
 
 
@@ -102,7 +103,7 @@ def test_rel_degree_general_constant():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_rel_degree_general_rejects_a_fixed_minpoly(p):
     A = theta_type(p)
-    X = ValPoly.X(p)
+    X = ValPoly.make(p, [Series.zero(p), Series.one(p)])
     assert A.fixes_value(X) == Fixed(Fraction(-1, p))
     with pytest.raises(PreconditionError, match="fixes the value"):
         rel_degree_general(A, X, X)
@@ -118,7 +119,8 @@ def test_rel_degree_general_does_not_fit_the_minpoly_law():
     f = theta_minpoly(p)
     with pytest.raises(StabilizationError):
         A.fixes_value(f)
-    assert rel_degree_general(A, ValPoly.X(p) * f, f) == NotFixedLaw(
+    X = ValPoly.make(p, [Series.zero(p), Series.one(p)])
+    assert rel_degree_general(A, X * f, f) == NotFixedLaw(
         1, 3, Fraction(-1, 3)
     )
 
@@ -144,7 +146,7 @@ def test_rel_degree_general_starts_where_every_digit_is_fixed():
     p = 3
     A = replace(theta_type(p), tail_depth=8)
     f = theta_minpoly(p)
-    X = ValPoly.X(p)
+    X = ValPoly.make(p, [Series.zero(p), Series.one(p)])
     assert A.approximants[0].is_exact_zero
     assert A.fixes_value(X * X) == Fixed(Fraction(-2, 3))
     res = rel_degree_general(A, X * X * f, f)
@@ -354,6 +356,37 @@ def test_reduced_factor_shape_with_every_residue_root(p):
             assert residues == expected
 
 
+def _x_power(p, k):
+    return ValPoly.make(p, [Series.zero(p)] * k + [Series.one(p)])
+
+
+# polynomials of degree >= 2h over the theta type
+_PAST_H = {
+    "2:f*X^2": (2, lambda f: f * _x_power(2, 2)),
+    "3:X^2+X": (3, lambda f: _x_power(3, 2) + _x_power(3, 1)),
+    "3:f+X^6": (3, lambda f: f + _x_power(3, 6)),
+    "5:f+X^10": (5, lambda f: f + _x_power(5, 10)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PAST_H))
+def test_reduced_factor_shape_reads_rows_past_h(case):
+    # the rows past h scale by inverse powers of d up to d^(deg - h),
+    # beyond the d^(h - 1) the rows below h read
+    p, build = _PAST_H[case]
+    A = theta_type(p, precision=20, transcendental=True)
+    g = build(theta_minpoly(p))
+    h = rel_degree(A, g).h
+    assert g.degree() >= 2 * h
+    n = A.tail()[-1]
+    c = A.approximants[n]
+    d = Series.monomial(p, -A.gamma(n))
+    residues = reduced_factor_shape(A, g, c, d)
+    expected = [comb(h, i) * (-1) ** (h - i) % p for i in range(h + 1)]
+    assert residues == expected + [0] * (g.degree() - h)
+    assert tail_factor_shape(A, g) == (residues, 1)
+
+
 def test_reduced_factor_shape_linear():
     p = 3
     A = theta_type(p)
@@ -431,7 +464,7 @@ class _Tripwire:
 
 def _law_polys(p):
     f = theta_minpoly(p)
-    X = ValPoly.X(p)
+    X = ValPoly.make(p, [Series.zero(p), Series.one(p)])
     return [f, X * X * f, X * X * X * f]
 
 
@@ -454,18 +487,45 @@ def test_sampled_powers_equal_the_taylor_powers():
             rel_degree(A, f)
         assert len(A._sampled_powers) == len(A.approximants) + 1
         assert any(A._powers)
-        # a tail point below the envelope threshold is never sampled, so
-        # its list may be the shorter one
+        # each route holds the powers it read: compare them on the keys
+        # both hold (a tail point below the envelope threshold is never
+        # sampled, so its dict may be empty)
+        shared = 0
         for sampled, taylor in zip(A._sampled_powers, A._powers):
-            k = min(len(sampled), len(taylor))
-            assert sampled[:k] == taylor[:k]
-        # the Taylor route stops one power short of the sampled route at
-        # the last approximant: it builds no f(c_n) row
+            for k in set(sampled) & set(range(1, len(taylor) + 1)):
+                assert sampled[k] == taylor[k - 1]
+                shared += 1
+        assert shared >= len(A.tail()) * 3
+        # the Taylor route stops short of the sampled route at the last
+        # approximant: it builds no f(c_n) row, so it never reads c^deg
+        deg = max(f.degree() for f in _law_polys(p))
         c, sampled, taylor = A.approximants[-1], A._sampled_powers[-2], A._powers[-1]
-        assert taylor != [] and len(sampled) == len(taylor) + 1
-        assert sampled[-1] == taylor[-1] * c
+        assert taylor != [] and set(sampled) == set(range(1, deg + 1))
+        assert len(taylor) < deg
+        assert sampled[deg] == taylor[-1] * c ** (deg - len(taylor))
         x = A.target
-        assert A._sampled_powers[-1] == [x**k for k in range(1, p + 4)]
+        assert A._sampled_powers[-1] == {k: x**k for k in range(1, p + 4)}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_the_anchor_law_makes_no_power_product(p, monkeypatch):
+    # X^p - X - 1/t reads 1, x and x^p, and no Taylor row f_1..f_p reads a
+    # power of c, as C(p, i) = 0 mod p: x^p is a Frobenius image, and no
+    # series product is formed outside the sums' dots
+    def tripwire(a, b):
+        raise AssertionError("a series product was formed")
+
+    A = theta_type(p)
+    monkeypatch.setattr(Series, "__mul__", tripwire)
+    rd = rel_degree(A, theta_minpoly(p))
+    monkeypatch.undo()
+    assert (rd.h, rd.sampled_points) == (p, 6)
+    assert A._powers == tuple([] for _ in A.approximants)
+    filled = [ps for ps in A._sampled_powers if ps]
+    assert A._sampled_powers[-1] and A._sampled_powers[-2]
+    assert len(filled) == rd.sampled_points + 1
+    for ps in filled:
+        assert set(ps) == {1, p}
 
 
 def test_taylor_route_never_calls_frobenius(monkeypatch):
@@ -498,7 +558,9 @@ def test_second_rel_degree_grows_no_power_list():
         A = theta_type(p, precision=12)
 
         def cached():
-            return [[id(s) for s in ps] for ps in A._powers + A._sampled_powers]
+            return [[id(s) for s in ps] for ps in A._powers] + [
+                [(k, id(s)) for k, s in ps.items()] for ps in A._sampled_powers
+            ]
 
         for f in _law_polys(p):
             first = rel_degree(A, f)
@@ -569,6 +631,12 @@ def test_approx_coefficient_checks_the_defining_identity(monkeypatch):
     _misreport_rel_degree(monkeypatch, h=1)
     with pytest.raises(InternalInconsistency, match="defining value identity"):
         approx_coefficient(A, theta_minpoly(p))
+    # one tail point: rel_degree fits nothing and keeps no points, and the
+    # identity is still checked on that point
+    shallow = replace(A, tail_depth=1)
+    assert reldeg.rel_degree(shallow, theta_minpoly(p)).points == ()
+    with pytest.raises(InternalInconsistency, match="defining value identity"):
+        approx_coefficient(shallow, theta_minpoly(p))
 
 
 class _ValueTable:

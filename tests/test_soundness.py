@@ -74,7 +74,7 @@ def test_truncated_operands_give_sound_results_randomized():
             )
         f = ValPoly.make(p, [exact_series(rng, p) for _ in range(rng.randint(1, 4))])
         tf = ValPoly.make(p, [truncated(rng, c) for c in f.coeffs])
-        pairs.append(("power_sum", power_sum(tf, ta, []), power_sum(f, a, [])))
+        pairs.append(("power_sum", power_sum(tf, ta, {}), power_sum(f, a, {})))
         if not f.is_zero:
             exact = taylor_coefficients(f, a)
             pairs += [

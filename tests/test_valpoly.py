@@ -174,10 +174,10 @@ def test_taylor_table_agrees_with_synthetic_division_when_truncated():
         f = ValPoly.make(p, coeffs)
         c = truncated_series(rng, p)
         tab = taylor_coefficients(f, c)
-        # the rows from f_1 on alone, built from powers up to c^(deg - 1)
+        # the rows from f_1 on alone, built from the powers they read
         powers = []
         assert taylor_coefficients(f, c, powers, start=1) == tab[1:]
-        assert len(powers) == deg - 1
+        assert len(powers) == taylor_reach(f, 1)
         for got, ref in zip(tab, synthetic_division_table(f, c)):
             common = min_value(got.precision, ref.precision)
             assert got.truncate(common) == ref.truncate(common)
@@ -233,6 +233,37 @@ def test_shared_powers_match_fresh_tables():
             assert powers[k] == powers[k - 1] * c
 
 
+def taylor_reach(f, start):
+    """The largest j - i over the terms C(j,i) a_j c^(j-i) of the rows
+    i >= start with C(j,i) != 0 mod p and a_j not an exact zero; 0 when no
+    row reads a power of c."""
+    n = len(f.coeffs)
+    return max(
+        (
+            j - i
+            for i in range(start, n)
+            for j in range(i + 1, n)
+            if comb(j, i) % f.p and not f.coeffs[j].is_exact_zero
+        ),
+        default=0,
+    )
+
+
+def power_keys(f):
+    """The k with x^k in a power_sum cache after f: each k >= 1 with a_k
+    not an exact zero, and x^(k/p) where p | k, else x^ceil(k/2) and
+    x^floor(k/2), down to x itself."""
+    todo = [k for k, a in enumerate(f.coeffs) if k and not a.is_exact_zero]
+    keys = set()
+    while todo:
+        k = todo.pop()
+        if k not in keys:
+            keys.add(k)
+            if k > 1:
+                todo += [k // f.p] if k % f.p == 0 else [k - k // 2, k // 2]
+    return keys
+
+
 def horner(f, x):
     """f(x) by Horner's scheme, the reference kept apart from the library's
     one evaluator: each step multiplies the whole accumulator by x."""
@@ -250,8 +281,9 @@ def test_power_sum_equals_horner_randomized():
         p = rng.choice([2, 3, 5])
         make = truncated_series if rng.random() < 0.7 else random_series
         x = make(rng, p)
-        powers = []
-        # one shared power list across degrees, as the type's cache holds it
+        powers = {}
+        keys = set()
+        # one shared power dict across degrees, as the type's cache holds it
         for deg in (4, 0, 9, 2, 12, 6):
             coeffs = [make(rng, p) for _ in range(deg)] + [Series.one(p)]
             if deg:
@@ -259,25 +291,89 @@ def test_power_sum_equals_horner_randomized():
             f = ValPoly(p, tuple(coeffs))
             ref = horner(f, x)
             assert power_sum(f, x, powers) == ref
-            assert power_sum(f, x, []) == ref
+            assert power_sum(f, x, {}) == ref
             assert f(x) == ref
-        assert len(powers) == 12 and powers[0] is x
+            keys |= power_keys(f)
+        assert set(powers) == keys and powers[1] is x
+        for k, x_k in powers.items():
+            assert x_k == x**k
     # degrees from 2p to p^2 at p = 5 and 7: x^p, x^(2p) and x^(p^2) are
     # the Frobenius images of x, x^2 and x^p
     for trial in range(40):
         p = (5, 7)[trial % 2]
         make = truncated_series if trial % 4 < 3 else random_series
         x = make(rng, p)
-        powers = []
+        powers = {}
+        keys = set()
         for deg in (2 * p, p * p, 2 * p + 1):
             coeffs = [make(rng, p) for _ in range(deg)] + [Series.one(p)]
             f = ValPoly(p, tuple(coeffs))
             ref = horner(f, x)
             assert power_sum(f, x, powers) == ref
-            assert power_sum(f, x, []) == ref
-        assert len(powers) == p * p
-    assert power_sum(ValPoly.zero(3), Series.monomial(3, 1), []) == Series.zero(3)
+            assert power_sum(f, x, {}) == ref
+            keys |= power_keys(f)
+        assert set(powers) == keys and {p, p * p} <= keys
+    assert power_sum(ValPoly.zero(3), Series.monomial(3, 1), {}) == Series.zero(3)
     assert ValPoly.zero(3)(Series.monomial(3, 1)) == Series.zero(3)
+
+
+def sparse_poly(rng, p, deg):
+    """Degree ``deg`` with many exact-zero and truncated-zero coefficients
+    below the monic top."""
+    coeffs = []
+    for _ in range(deg):
+        r = rng.random()
+        if r < 0.4:
+            coeffs.append(Series.zero(p))
+        elif r < 0.6:
+            coeffs.append(Series.zero(p, Fraction(rng.randint(-6, 12), rng.randint(1, 3))))
+        else:
+            coeffs.append(truncated_series(rng, p))
+    return ValPoly(p, (*coeffs, Series.one(p)))
+
+
+def test_on_demand_powers_match_the_full_chain_randomized():
+    # power_sum and the Taylor rows read only the powers a term needs; the
+    # references build every power as c^(k-1) * c and use them all
+    rng = random.Random(408)
+    truncated_zero_read = 0
+    for _ in range(400):
+        p = rng.choice([2, 3, 5])
+        deg = rng.randint(1, 12)
+        f = sparse_poly(rng, p, deg)
+        x = truncated_series(rng, p)
+        chain = [Series.one(p), x]
+        while len(chain) <= deg:
+            chain.append(chain[-1] * x)
+        want = Series.zero(p)
+        for a, x_k in zip(f.coeffs, chain):
+            if not a.is_exact_zero:
+                want = want + a * x_k
+        powers = {}
+        got = power_sum(f, x, powers)
+        assert got == want and got.precision == want.precision
+        assert got == horner(f, x)
+        assert set(powers) == power_keys(f)
+        for k, x_k in powers.items():
+            assert x_k == chain[k]
+        start = rng.choice([0, 1])
+        rows = []
+        for i in range(start, deg + 1):
+            acc = f.coeffs[i]
+            for j in range(i + 1, deg + 1):
+                b = comb(j, i) % p
+                if b and not f.coeffs[j].is_exact_zero:
+                    acc = acc + f.coeffs[j].scale(b) * chain[j - i]
+            rows.append(acc)
+        taylor = []
+        got_rows = taylor_coefficients(f, x, taylor, start=start)
+        assert got_rows == rows
+        assert [r.precision for r in got_rows] == [r.precision for r in rows]
+        assert taylor == chain[1 : taylor_reach(f, start) + 1]
+        truncated_zero_read += any(
+            not a.exps and a.precision is not INF for a in f.coeffs[1:]
+        )
+    assert truncated_zero_read > 100
 
 
 def test_power_sum_takes_powers_divisible_by_p_from_frobenius(monkeypatch):
@@ -300,13 +396,24 @@ def test_power_sum_takes_powers_divisible_by_p_from_frobenius(monkeypatch):
 
     monkeypatch.setattr(hahn, "_convolve", counted_convolve)
     monkeypatch.setattr(Series, "frobenius", counted_frobenius)
-    powers = []
+    powers = {}
     got = power_sum(f, x, powers)
     assert convolved == [1, 5]  # x^3, then the dot of five pairs
     assert len(images) == 2
-    assert images[0] is powers[0] and images[1] is powers[1]
+    assert images[0] is powers[1] and images[1] is powers[2]
+    assert set(powers) == {1, 2, 3, 4}
+    # a + a X^4 reads x^4 alone, which two Frobenius images reach: no
+    # product but the dot of its two pairs
+    sparse = ValPoly(p, (a, Series.zero(p), Series.zero(p), Series.zero(p), a))
+    convolved.clear()
+    images.clear()
+    powers = {}
+    got_sparse = power_sum(sparse, x, powers)
+    assert convolved == [2] and len(images) == 2
+    assert set(powers) == {1, 2, 4}
     monkeypatch.undo()
     assert got == horner(f, x)
+    assert got_sparse == horner(sparse, x)
 
 
 def test_f_adic_by_construction():
@@ -314,7 +421,7 @@ def test_f_adic_by_construction():
     f = ValPoly(
         p, (Series.monomial(p, -1), Series.zero(p), Series.one(p))
     )  # X^2 + 1/t
-    x = ValPoly.X(p)
+    x = ValPoly.make(p, [Series.zero(p), Series.one(p)])
     one = ValPoly(p, (Series.one(p),))
     g = f * f + x * f + one
     digits = f_adic_expand(g, f)
@@ -326,7 +433,7 @@ def test_f_adic_by_construction():
 def test_f_adic_small_degree():
     p = 3
     f = ValPoly(p, (Series.one(p), Series.zero(p), Series.one(p)))
-    g = ValPoly.X(p)
+    g = ValPoly.make(p, [Series.zero(p), Series.one(p)])
     assert f_adic_expand(g, f) == [g]
 
 
