@@ -112,6 +112,8 @@ class ApproxType:
     def __post_init__(self):
         if not self.approximants:
             raise PreconditionError("a type needs at least one approximant")
+        if self.tail_depth < 1:
+            raise PreconditionError("the tail depth must be at least 1")
         outside = _first_outside(self.approximants, self.ground)
         gammas = []
         for n, c in enumerate(self.approximants):
@@ -211,6 +213,8 @@ class ApproxType:
     def _window_value(self, values: list[GroupValue]) -> Optional[GroupValue]:
         """The value shared by the last ``window`` of ``values``, or None
         when they differ: the type's one window rule."""
+        if self.window < 1:
+            raise PreconditionError("the window must be at least 1")
         tail = values[-self.window:]
         return tail[-1] if all(v == tail[-1] for v in tail) else None
 
@@ -221,9 +225,6 @@ class ApproxType:
         for every approximant, then v(g(target)) or None when hidden."""
         if g.is_zero:
             raise PreconditionError("the zero polynomial has no value")
-        if g.degree() == 0:
-            v = g.coeffs[0].val()
-            return v, [v] * (len(self.approximants) + 1)
         values = []
         for n, c in enumerate(self.approximants):
             try:
@@ -257,7 +258,7 @@ class ApproxType:
         # when every derivative value is fixed, the envelope route gives the
         # threshold past which the law holds: fit only the points past it
         betas = self.taylor_intercepts(g)
-        if betas is None or all(b is INF for b in betas):
+        if betas is None:
             h, beta = fit_tail_law(pts)
         else:
             h_env, beta_env, above = envelope_law(betas, self.distance())

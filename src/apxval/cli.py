@@ -22,7 +22,7 @@ from .errors import ApxError, InternalInconsistency
 from .ordval import format_value, parse_cut, parse_value
 from .hahn import dot, in_subfield, p_power_denominators, resolve_predicate
 from .parsing import ParseError, format_series, parse_poly, parse_series
-from .envelope import AffineFamily, eventual_order, eventual_argmin
+from .envelope import AffineFamily, _ordered_argmin
 from .apprtype import ApproxType, Fixed
 from .reldeg import (
     approx_coefficient,
@@ -155,8 +155,7 @@ def cmd_envelope(args, cfg):
         it = _json_object(it, "family item", keys)
         items.append((it["i"], parse_value(str(it["intercept"])), it["slope"]))
     fam = AffineFamily.make(items, approach)
-    order = eventual_order(fam)
-    argmin = eventual_argmin(fam)
+    argmin, order = _ordered_argmin(fam)
     payload = {
         "beta": str(order.beta),
         "permutation": list(order.permutation),

@@ -188,20 +188,20 @@ def parse_poly(text: str, p: int):
                 raise ParseError(text, sc.pos, "expected '+' or end")
             break
     top = max(coeffs) if coeffs else 0
-    return ValPoly.make(p, (coeffs.get(i, Series.zero(p)) for i in range(top + 1)))
+    return ValPoly(p, (coeffs.get(i, Series.zero(p)) for i in range(top + 1)))
 
 
 def format_poly(f) -> str:
     parts = []
     for i in reversed(range(len(f.coeffs))):
         c = f.coeffs[i]
-        if not c.terms and c.precision is INF:
+        if c.is_exact_zero:
             continue
         if i == 0:
             parts.append(f"({format_series(c)})")
         else:
             x = "X" if i == 1 else f"X^{i}"
-            if len(c.terms) == 1 and c.terms[0] == (Fraction(0), 1) and c.precision is INF:
+            if c == Series.one(f.p):
                 parts.append(x)
             else:
                 parts.append(f"({format_series(c)})*{x}")

@@ -150,7 +150,7 @@ def rel_degree_general(
         raise PreconditionError("the zero polynomial has no value")
     try:
         fixed, _ = A._fixed(minpoly_f)
-    except (IndeterminateValuation, InsufficientPrecision):
+    except InsufficientPrecision:
         fixed = None  # some v(f(c_n)) is hidden: the value is not seen fixed
     if fixed is not None:
         raise PreconditionError(
@@ -342,9 +342,8 @@ def _factor_shape(
         need = 2 * v_fh - (f_i.val() + (h - i) * d.val()) + 1
         slack = max(slack, need - v_fh)
     inv = invert(fh_c, v_fh + slack)
+    # v(x0) = 0 lies below the precision of x0: it has a residue
     x0 = d * xc
-    if x0.precision is not INF and x0.precision <= 0:
-        raise InsufficientPrecision("rescaled element has no residue")
     # d^0, d^1, ...: row i scales by d^(h - i), or past h by the inverse
     # of d^(i - h)
     d_powers = [Series.one(p)]

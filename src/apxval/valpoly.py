@@ -6,6 +6,11 @@ sums over the powers of the expansion point, f-adic digit expansion, and
 the p-adic binomial valuation fact used to bound relative approximation
 degrees.
 
+A polynomial is built one way: ``ValPoly(p, coeffs)``, which ``make``
+only names, drops trailing exact-zero coefficients, so the last
+coefficient is the leading one and no operation special-cases the zero
+or a constant polynomial.
+
 A polynomial evaluates one way: ``power_sum`` sums a_j * x^j in one
 ``hahn.dot`` pass over a dict {k: x^k} of powers of x, so with monomial
 coefficients nearly every product is a one-term shift and no partial sum
@@ -39,25 +44,27 @@ from .ordval import INF, GroupValue
 @dataclass(frozen=True)
 class ValPoly:
     """Coefficients c_0..c_n, lowest degree first; the zero polynomial is
-    the empty tuple."""
+    the empty tuple.  The constructor takes any iterable of coefficients
+    and drops trailing exact zeros, so c_n is the leading coefficient
+    whenever the polynomial is not zero; a truncated zero is kept."""
 
     p: int
     coeffs: tuple[Series, ...]
 
+    def __post_init__(self):
+        cs = tuple(self.coeffs)
+        n = len(cs)
+        while n and cs[n - 1].is_exact_zero:
+            n -= 1
+        object.__setattr__(self, "coeffs", cs[:n])
+
     @staticmethod
     def make(p: int, coeffs) -> "ValPoly":
-        cs = list(coeffs)
-        while cs and cs[-1].is_exact_zero:
-            cs.pop()
-        return ValPoly(p, tuple(cs))
+        return ValPoly(p, coeffs)
 
     @staticmethod
     def zero(p: int) -> "ValPoly":
         return ValPoly(p, ())
-
-    @staticmethod
-    def constant(c: Series) -> "ValPoly":
-        return ValPoly.make(c.p, (c,))
 
     @property
     def is_zero(self) -> bool:
@@ -75,19 +82,15 @@ class ValPoly:
 
     def __add__(self, other: "ValPoly") -> "ValPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return ValPoly.make(
-            self.p, (self.coeff(i) + other.coeff(i) for i in range(n))
-        )
+        return ValPoly(self.p, (self.coeff(i) + other.coeff(i) for i in range(n)))
 
     def __neg__(self) -> "ValPoly":
-        return ValPoly(self.p, tuple(-c for c in self.coeffs))
+        return ValPoly(self.p, (-c for c in self.coeffs))
 
     def __sub__(self, other: "ValPoly") -> "ValPoly":
         return self + (-other)
 
     def __mul__(self, other: "ValPoly") -> "ValPoly":
-        if self.is_zero or other.is_zero:
-            return ValPoly.zero(self.p)
         out = [Series.zero(self.p)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_exact_zero:
@@ -96,10 +99,10 @@ class ValPoly:
                 if b.is_exact_zero:
                     continue
                 out[i + j] = out[i + j] + a * b
-        return ValPoly.make(self.p, out)
+        return ValPoly(self.p, out)
 
     def scale(self, c: Series) -> "ValPoly":
-        return ValPoly.make(self.p, (c * a for a in self.coeffs))
+        return ValPoly(self.p, (c * a for a in self.coeffs))
 
     def __call__(self, x: Series) -> Series:
         """f(x): ``power_sum`` over powers of x built for this call."""
@@ -108,7 +111,7 @@ class ValPoly:
     def compose(self, other: "ValPoly") -> "ValPoly":
         acc = ValPoly.zero(self.p)
         for c in reversed(self.coeffs):
-            acc = acc * other + ValPoly.constant(c)
+            acc = acc * other + ValPoly(self.p, (c,))
         return acc
 
     def __str__(self) -> str:
@@ -122,9 +125,7 @@ def formal_derivative(f: ValPoly, i: int) -> ValPoly:
     binomials computed as exact integers then reduced mod p."""
     if i < 0:
         raise PreconditionError("derivative order must be nonnegative")
-    if f.is_zero or i > f.degree():
-        return ValPoly.zero(f.p)
-    return ValPoly.make(
+    return ValPoly(
         f.p,
         (f.coeffs[j].scale(comb(j, i) % f.p) for j in range(i, len(f.coeffs))),
     )
@@ -183,8 +184,6 @@ def taylor_coefficients(
     """
     if start < 0:
         raise PreconditionError("the first Taylor row must be nonnegative")
-    if f.is_zero:
-        return []
     coeffs = f.coeffs
     n = len(coeffs)
     if powers is None:
@@ -231,8 +230,6 @@ def _reach(p: int, n: int, start: int) -> tuple[int, ...]:
 
 def taylor_check(f: ValPoly, c: Series, x: Series) -> bool:
     """Whether f(x) equals sum_i f_i(c) (x-c)^i up to propagated precision."""
-    if f.is_zero:
-        return True
     lhs = f(x)
     diff = x - c
     rhs = Series.zero(f.p)
@@ -255,7 +252,7 @@ def poly_divmod(g: ValPoly, f: ValPoly) -> tuple[ValPoly, ValPoly]:
         raise PreconditionError("division by the zero polynomial")
     p = g.p
     lead = f.coeffs[-1]
-    if lead.precision is not INF or len(lead.terms) != 1:
+    if lead != lead.prefix(1):
         raise PreconditionError(
             "divisor leading coefficient must be an exact monomial"
         )
@@ -276,8 +273,8 @@ def poly_divmod(g: ValPoly, f: ValPoly) -> tuple[ValPoly, ValPoly]:
             rem[k + j] = rem[k + j] - q * f.coeffs[j]
         rem.pop()
     qdeg = max(quot) if quot else -1
-    qpoly = ValPoly.make(p, tuple(quot.get(i, Series.zero(p)) for i in range(qdeg + 1)))
-    return qpoly, ValPoly.make(p, rem)
+    qpoly = ValPoly(p, (quot.get(i, Series.zero(p)) for i in range(qdeg + 1)))
+    return qpoly, ValPoly(p, rem)
 
 
 def f_adic_expand(g: ValPoly, f: ValPoly) -> list[ValPoly]:

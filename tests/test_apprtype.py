@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from apxval.errors import (
+    InsufficientPrecision,
     MarkerViolation,
     PreconditionError,
     StabilizationError,
@@ -160,6 +161,9 @@ def test_fixes_value_linear_and_constant():
     k = Series.monomial(p, Fraction(5, 3), 2)
     res = A.fixes_value(ValPoly(p, (k,)))
     assert res == Fixed(Fraction(5, 3))
+    # a constant whose value truncation hides is hidden at every point
+    with pytest.raises(InsufficientPrecision, match=r"v\(g\(c_0\)\) is swallowed"):
+        A.fixes_value(ValPoly(p, (Series.zero(p, Fraction(2)),)))
 
 
 def test_not_fixed_law_exact_on_all_approximants():
@@ -236,6 +240,42 @@ def test_kaplansky_extend_linear_and_constant():
     assert A.kaplansky_extend(ValPoly(p, (-c, Series.one(p)))) == A.gamma(1)
     k = Series.monomial(p, -2)
     assert A.kaplansky_extend(ValPoly(p, (k,))) == -2
+    with pytest.raises(InsufficientPrecision, match=r"v\(g\(c_0\)\) is swallowed"):
+        A.kaplansky_extend(ValPoly(p, (Series.zero(p, Fraction(2)),)))
+
+
+def test_a_hidden_target_value_leaves_the_verdict_to_the_approximants():
+    # g = X - c for the target's exact part: v(g(c_n)) = gamma_n rises
+    # while g(target) = O(t) is hidden, so no visible value contradicts
+    p = 3
+    A = theta_type(p)
+    c = A.target.prefix(len(A.target.terms))
+    g = ValPoly(p, (-c, Series.one(p)))
+    stab, values = A._fixed(g)
+    assert stab is None and values == [*A.gammas(), None]
+    assert A.fixes_value(g) == NotFixed(1, Fraction(0))
+    # over the last approximant alone the window reads one value, which
+    # the hidden v(g(target)) cannot contradict
+    B = ApproxType(A.target, A.ground, A.approximants[-1:])
+    assert B._fixed(g) == (A.gammas()[-1], [A.gammas()[-1], None])
+
+
+@pytest.mark.parametrize(
+    "knob, message",
+    [
+        ({"tail_depth": 0}, "tail depth must be at least 1"),
+        ({"window": 0}, "window must be at least 1"),
+        ({"window": -2}, "window must be at least 1"),
+    ],
+)
+def test_depth_knobs_below_1_are_refused(knob, message):
+    # the tail depth is refused when the type is built, the window where
+    # the one window rule reads it
+    A = theta_type(3)
+    f = theta_minpoly(3)
+    for call in (ApproxType.fixes_value, rel_degree):
+        with pytest.raises(PreconditionError, match=message):
+            call(replace(A, **knob), f)
 
 
 class _ValueTable:

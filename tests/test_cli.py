@@ -331,6 +331,15 @@ def test_fixes_subcommand_fixed_value(capsys, tmp_path, flags, want):
     assert (code, out) == (0, want + "\n")
 
 
+def test_fixes_refuses_a_constant_that_truncation_hides(capsys, tmp_path):
+    path = _theta_type_file(tmp_path, 3)
+    code, out, err = run_cli(
+        capsys, "--p", "3", "fixes", "--type", path, "--poly", "(O(t^2))"
+    )
+    assert (code, out) == (1, "")
+    assert err == "check failed: v(g(c_0)) is swallowed by the precision bound\n"
+
+
 @pytest.mark.parametrize("command", ["fixes", "reldeg"])
 def test_fixes_agrees_with_reldeg_on_a_law_that_starts_late(
     capsys, tmp_path, command
@@ -471,6 +480,21 @@ def test_envelope_subcommand_intercept_literals(capsys):
     assert json.loads(out) == {
         "beta": "13/2", "permutation": [1, 3, 2], "argmin": 2,
     }
+
+
+def test_envelope_subcommand_refuses_an_all_infinite_family(capsys):
+    family = json.dumps(
+        {
+            "approach": "(+inf)",
+            "items": [
+                {"i": 1, "intercept": "inf", "slope": 1},
+                {"i": 2, "intercept": "inf", "slope": 2},
+            ],
+        }
+    )
+    code, out, err = run_cli(capsys, "envelope", family)
+    assert (code, out) == (1, "")
+    assert err == "check failed: all intercepts are infinite\n"
 
 
 def test_tame_witness_subcommand(capsys):

@@ -103,9 +103,10 @@ def test_poly_round_trip_randomized():
     p = 3
     for _ in range(2000):
         coeffs = [random_series(rng, p) for _ in range(rng.randint(1, 6))]
-        f = ValPoly.make(p, coeffs)
-        if f.is_zero:
-            continue
+        # the constructor takes the raw list, trailing exact zeros included
+        f = ValPoly(p, coeffs)
+        assert f == ValPoly.make(p, iter(coeffs))
+        assert f.is_zero or not f.coeffs[-1].is_exact_zero
         assert parse_poly(format_poly(f), p) == f
 
 

@@ -8,6 +8,7 @@ import pytest
 from apxval.errors import (
     InsufficientPrecision,
     InternalInconsistency,
+    MarkerViolation,
     PreconditionError,
     StabilizationError,
 )
@@ -713,3 +714,97 @@ def test_fixes_value_failure_shapes(shape, monkeypatch):
     g = _ValueTable(A, Series.monomial(p, 7), _shaped_values(A, shape))
     with pytest.raises(StabilizationError, match=_SHAPE_MESSAGES[shape]):
         A.fixes_value(g)
+
+
+# --- the law layer's refusal paths -------------------------------------------
+
+
+def test_rel_degree_preconditions():
+    p = 3
+    A = theta_type(p)
+    for f in (ValPoly.zero(p), ValPoly(p, (Series.one(p),))):
+        with pytest.raises(PreconditionError, match="degree >= 1"):
+            rel_degree(A, f)
+    # an approximant equal to the target: the type is not immediate
+    x = Series.monomial(p, -1)
+    trivial = ApproxType(x, p_power_denominators(p), (Series.zero(p), x))
+    assert trivial.is_trivial
+    with pytest.raises(PreconditionError, match="immediate"):
+        rel_degree(trivial, theta_minpoly(p))
+
+
+def test_a_hidden_derivative_value_is_a_marker_violation():
+    # at p = 2, f_1(c) = 2c + a_1 = a_1 = O(t^2): truncation hides it
+    A = theta_type(2)
+    g = parse_poly("X^2 + (O(t^2))*X", 2)
+    assert A.taylor_intercepts(g) is None
+    with pytest.raises(MarkerViolation, match="not fixed at this depth"):
+        rel_degree(A, g)
+
+
+def test_approx_coefficient_refuses_a_coefficient_outside_the_ground():
+    # f_1 = t^(1/2) + t: every truncation keeps t^(1/2), outside Z[1/3],
+    # though the longer one certifies
+    A = theta_type(3)
+    f = parse_poly("(t^(1/2) + t)*X", 3)
+    assert reldeg._certify_coefficient(
+        [f.coeff(1)] * len(A.tail()), f.coeff(1)
+    )
+    with pytest.raises(InsufficientPrecision, match="no truncation"):
+        approx_coefficient(A, f)
+
+
+def test_certify_coefficient_refusals():
+    p = 3
+    d = Series.monomial(p, Fraction(-1, 3))
+    # a sample of another value
+    s = Series.monomial(p, Fraction(-1, 9))
+    assert not reldeg._certify_coefficient([d, s], d)
+    # a sample of the same value that d does not approximate
+    s = Series.monomial(p, Fraction(-1, 3), 2)
+    assert not reldeg._certify_coefficient([d, s], d)
+    # a sample whose difference from d truncation hides: its precision,
+    # above v(d) since v(s) = v(d) is visible, stands in for its value
+    for prec in (Fraction(1), Fraction(-1, 6)):
+        s = d + Series.zero(p, prec)
+        assert reldeg._value_or_precision(s - d) == prec
+        assert reldeg._certify_coefficient([d, s], d)
+
+
+def test_rel_degree_general_with_a_hidden_minpoly_value():
+    # X^3 - X - 1/t with its constant known only below t^(-1/3): v(f(c_1))
+    # is hidden, so the type is not seen to fix v(f), and the law of g
+    # comes from f's digits
+    p = 3
+    A = theta_type(p)
+    f = parse_poly("X^3 + (2)*X + (2*t^(-1) + O(t^(-1/3)))", p)
+    with pytest.raises(InsufficientPrecision, match="c_1"):
+        A.fixes_value(f)
+    X = ValPoly.make(p, [Series.zero(p), Series.one(p)])
+    assert rel_degree_general(A, X, f) == Fixed(Fraction(-1, 3))
+
+
+# over theta at p = 2, (h, beta) = (2, -7/8) with the threshold -1/32: the
+# value of f_1(c_n) settles only at gamma_n = -1/16
+LATE_LAW_POLY = (
+    "(t)*X^5 + (t^(-1/4) + t)*X^4 + (t^(-3/4) + t^(-1/4) + 1)*X^3"
+    " + (t^(-5/4) + t^(-1) + t^(-3/4))*X^2 + (t^(-7/4) + t^(-1))*X + (t^(-2))"
+)
+
+
+def test_factor_shape_refusals():
+    p = 3
+    A = theta_type(p)
+    f = theta_minpoly(p)
+    c = A.approximants[-1]
+    with pytest.raises(PreconditionError, match="scaling element"):
+        reduced_factor_shape(A, f, c, Series.one(p))
+    # at gamma = -1/8 the rescaled row 1 has a negative value
+    A = theta_type(2)
+    g = parse_poly(LATE_LAW_POLY, 2)
+    assert A.gamma(2) == Fraction(-1, 8)
+    with pytest.raises(PreconditionError, match="coefficient 1 is not integral"):
+        reduced_factor_shape(A, g, A.approximants[2], Series.monomial(2, Fraction(1, 8)))
+    assert reduced_factor_shape(
+        A, g, A.approximants[3], Series.monomial(2, Fraction(1, 16))
+    ) == [1, 0, 1, 0, 0, 0]

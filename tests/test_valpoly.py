@@ -8,6 +8,8 @@ from apxval import hahn
 from apxval.errors import PreconditionError
 from apxval.hahn import Series, min_value
 from apxval.ordval import INF
+from apxval.curated import theta_minpoly, theta_type
+from apxval.parsing import parse_poly
 from apxval.valpoly import (
     ValPoly,
     binom_val,
@@ -62,6 +64,45 @@ def test_derivative_edges():
     d1 = formal_derivative(f, 1)
     assert d1.degree() == 1 and d1.coeff(1).coeff(0) == 2
     assert formal_derivative(f, 3).is_zero
+    assert formal_derivative(ValPoly.zero(p), 0).is_zero
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        formal_derivative(f, -1)
+
+
+def test_the_zero_polynomial_takes_the_general_path():
+    p = 3
+    rng = random.Random(5)
+    f = random_poly(rng, p, 5)
+    zero = ValPoly.zero(p)
+    assert zero * f == zero and f * zero == zero and zero * zero == zero
+    c, x = random_series(rng, p), random_series(rng, p)
+    assert taylor_coefficients(zero, c) == []
+    assert taylor_coefficients(zero, c, start=2) == []
+    assert taylor_check(zero, c, x)
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        taylor_coefficients(zero, c, start=-1)
+
+
+def test_the_constructor_drops_trailing_exact_zeros():
+    # theta_minpoly(3) with one more coefficient, an exact zero, built raw
+    p = 3
+    f = theta_minpoly(p)
+    g = ValPoly(p, f.coeffs + (Series.zero(p),))
+    assert g == f and hash(g) == hash(f) and g.coeffs == f.coeffs
+    assert g.degree() == 3 and (-g).degree() == 3 and -g == -f
+    assert (g - f).is_zero and (g + ValPoly.zero(p)) == g
+    A = theta_type(p)
+    assert len(taylor_coefficients(g, A.approximants[-1])) == 4
+    assert A.taylor_intercepts(g) == [0, INF, 0]
+    assert parse_poly(str(g), p) == g
+    q, r = poly_divmod(f, g)
+    assert q == ValPoly(p, (Series.one(p),)) and r.is_zero
+    assert f_adic_expand(f * f, g) == [ValPoly.zero(p), ValPoly.zero(p), q]
+    # a generator is taken as any iterable is; a truncated zero is kept
+    hidden = Series.zero(p, Fraction(2))
+    h = ValPoly(p, (c for c in (Series.one(p), hidden, Series.zero(p))))
+    assert h.coeffs == (Series.one(p), hidden) and h.degree() == 1
+    assert ValPoly(p, [Series.zero(p)] * 3) == ValPoly.zero(p)
 
 
 def test_taylor_artin_schreier_identity():
@@ -460,6 +501,24 @@ def test_poly_divmod_exact():
         g = q * f + r
         q2, r2 = poly_divmod(g, f)
         assert q2 == q and r2 == r
+
+
+def test_poly_divmod_refuses_a_divisor_without_an_exact_monomial_lead():
+    p = 3
+    X = ValPoly.make(p, [Series.zero(p), Series.one(p)])
+    g = X * X + X
+    for text in ("t + t^2", "t + O(t^3)", "O(t^2)"):
+        lead = parse_poly(f"({text})", p)
+        with pytest.raises(PreconditionError, match="exact monomial"):
+            poly_divmod(g, X * lead)
+    q, r = poly_divmod(g, X.scale(Series.monomial(p, 1, 2)))
+    assert q.scale(Series.monomial(p, 1, 2)) * X + r == g
+    with pytest.raises(PreconditionError, match="zero polynomial"):
+        poly_divmod(g, ValPoly.zero(p))
+    with pytest.raises(PreconditionError, match="zero polynomial"):
+        ValPoly.zero(p).degree()
+    with pytest.raises(PreconditionError, match="degree >= 1"):
+        f_adic_expand(g, ValPoly(p, (Series.one(p),)))
 
 
 def test_binom_val_examples():
