@@ -201,12 +201,8 @@ class ApproxType:
             raise InsufficientPrecision(
                 "precision too low to compare against the distance"
             )
-        rel = compare_value_cut(v, d)
-        if rel.ge:
-            return True
-        if rel.lt:
-            return False
-        raise InsufficientPrecision("value sits inside the distance cut")
+        # every value is either >= the cut or < it
+        return compare_value_cut(v, d).ge
 
     # -- fixed-value analysis -------------------------------------------
 

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     StabilizationError,
 )
-from .hahn import Series, _prime_to_p, dot, invert, val_diff
+from .hahn import Series, _prime_to_p, dot, val_diff
 from .ordval import INF, Cut, GroupValue, is_finite, scale_cut, shift_cut
 from .valpoly import (
     ValPoly,
@@ -223,7 +223,7 @@ def approx_coefficient(A: ApproxType, f: ValPoly) -> tuple[Series, RelDegree]:
     tail = A.tail()
     samples = [fh(A.approximants[n]) for n in tail]
     last = samples[-1]
-    if last.val() is INF:
+    if last.is_exact_zero:
         raise PreconditionError("h-th derivative vanishes on the tail")
     for k, (e, _) in enumerate(last.terms, 1):
         if not A.ground(e):
@@ -246,12 +246,7 @@ def approx_coefficient(A: ApproxType, f: ValPoly) -> tuple[Series, RelDegree]:
 
 def _certify_coefficient(samples: list[Series], d: Series) -> bool:
     vd = d.val()
-    for s in samples:
-        if s.val() != vd:
-            return False
-        if not _value_or_precision(s - d) > vd:
-            return False
-    return True
+    return all(_value_or_precision(s - d) > vd for s in samples)
 
 
 def _value_or_precision(s: Series) -> GroupValue:
@@ -294,7 +289,7 @@ def combine_same_degree(
     if len(hs) != 1:
         raise PreconditionError("proxies must share a common h")
     h = hs.pop()
-    min_v = min((k * d).val() for k, d in zip(ks, ds))
+    min_v = min(k.val() + d.val() for k, d in zip(ks, ds))
     # a sum that truncation hides has a precision above min_v: cancelled
     v_total = _value_or_precision(dot(ks, ds))
     if v_total is INF or v_total != min_v:
@@ -323,55 +318,62 @@ def reduced_factor_shape(
 def _factor_shape(
     A: ApproxType, f: ValPoly, c: Series, d: Series
 ) -> tuple[list[int], int]:
-    """``reduced_factor_shape`` with the root r, read off the one
-    x0 = d*(x - c) the shape is built from."""
+    """``reduced_factor_shape`` with the root r, read by the residue map,
+    a ring homomorphism, off values and leading coefficients.  Row i
+    rescales to a_i = f_i(c) d^(h - i) / f_h(c), of value
+    w_i = v(f_i(c)) + (h - i) v(d) - v(f_h(c)): its residue is 0 past 0
+    and lc(f_i(c)) lc(d)^(h - i) / lc(f_h(c)) at 0.  The root is
+    r = res(d (x - c)) = lc(d) lc(x - c), and the constant term, the
+    residue of -sum_i a_i (d (x - c))^i, is -sum_i res(a_i) r^i."""
     rd = rel_degree(A, f)
     h = rd.h
     xc = A.target - c
-    if d.val() != -xc.val():
+    e = d.val()
+    if e != -xc.val():
         raise PreconditionError("scaling element must have value -v(x - c)")
     p = f.p
+    # before the threshold the law need not hold, so a shape that fails
+    # there says the type is too shallow, not that the routes disagree
+    where = f"at v(x - c) = {-e} with the law's threshold {rd.threshold}"
+    shallow = -e <= rd.threshold
     tab = taylor_coefficients(f, c, start=1)
     fh_c = tab[h - 1]
-    v_fh = fh_c.val()
-    # precision needed so every rescaled coefficient's residue is determinate
-    slack = Fraction(1)
+    if fh_c.is_exact_zero:
+        raise (InsufficientPrecision if shallow else PreconditionError)(
+            f"h-th derivative vanishes {where}"
+        )
+    v_h, lc_h = _leading(fh_c, f"truncation hides f_{h}(c)")
+    lc_d = d.leading()[1]
+    residues = [0]
     for i, f_i in enumerate(tab, 1):
-        if f_i.is_exact_zero:
-            continue
-        need = 2 * v_fh - (f_i.val() + (h - i) * d.val()) + 1
-        slack = max(slack, need - v_fh)
-    inv = invert(fh_c, v_fh + slack)
-    # v(x0) = 0 lies below the precision of x0: it has a residue
-    x0 = d * xc
-    # d^0, d^1, ...: row i scales by d^(h - i), or past h by the inverse
-    # of d^(i - h)
-    d_powers = [Series.one(p)]
-    while len(d_powers) < max(h, len(tab) - h + 1):
-        d_powers.append(d_powers[-1] * d)
-    coeffs = [Series.zero(p)]
-    power = Series.one(p)
-    for i, f_i in enumerate(tab, 1):
-        scale = d_powers[h - i] if h >= i else invert(d_powers[i - h], INF)
-        a_i = f_i * scale * inv
-        if _value_or_precision(a_i) < 0:
+        # a hidden f_i(c) is known to be no lower than its precision
+        w = (h - i) * e - v_h + _value_or_precision(f_i)
+        if w < 0:
             raise PreconditionError(
                 f"coefficient {i} is not integral: approximant not deep enough"
             )
-        coeffs.append(a_i)
-        # x0 ** i exactly, precision included, as v(x0) = 0 in every order
-        power = power * x0
-        coeffs[0] = coeffs[0] - a_i * power
-    if _value_or_precision(coeffs[0]) < 0:
-        raise PreconditionError("constant term is not integral")
-    residues = [a.residue() for a in coeffs]
-    r = x0.residue()
+        if w > 0:
+            residues.append(0)
+            continue
+        _, lc = _leading(f_i, "precision does not reach exponent 0")
+        residues.append(lc * pow(lc_d, h - i, p) * pow(lc_h, -1, p) % p)
+    r = lc_d * xc.leading()[1] % p
+    residues[0] = -sum(a * pow(r, i, p) for i, a in enumerate(residues)) % p
     expected = _power_of_linear(p, r, h, f.degree())
     if residues != expected:
-        raise InternalInconsistency(
-            f"residue polynomial {residues} is not (Z - {r})^{h}"
+        raise (InsufficientPrecision if shallow else InternalInconsistency)(
+            f"residue polynomial {residues} is not (Z - {r})^{h} {where}"
         )
     return residues, r
+
+
+def _leading(s: Series, hidden: str) -> tuple[Fraction, int]:
+    """The leading term of s; InsufficientPrecision with the message
+    ``hidden`` when truncation hides every term."""
+    try:
+        return s.leading()
+    except IndeterminateValuation:
+        raise InsufficientPrecision(hidden) from None
 
 
 def tail_factor_shape(A: ApproxType, f: ValPoly) -> tuple[list[int], int]:

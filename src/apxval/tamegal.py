@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InternalInconsistency, PreconditionError
-from .hahn import Series, _from_ints, _prime_to_p, invert
+from .hahn import Series, _from_ints, _prime_to_p, val_diff
 from .ordval import INF, GroupValue
 
 
@@ -102,12 +102,13 @@ class GaloisElem:
 
 
 def chi(G: TameCyclic, sigma: GaloisElem, d: Series) -> int:
-    """Residue of sigma(d)/d; lies in the group of n-th roots of unity."""
-    vd = d.val()
-    if vd is INF:
+    """Residue of sigma(d)/d; lies in the group of n-th roots of unity.
+    sigma keeps the value and the residue map is multiplicative, so it is
+    lc(sigma(d)) / lc(d) mod p.  sigma reads every term of d, so a d
+    outside the extension is refused."""
+    if d.val() is INF:
         raise PreconditionError("chi of zero")
-    q = sigma(d) * invert(d, vd + 1)
-    return q.coeff(0)
+    return sigma(d).coeffs[0] * pow(d.coeffs[0], -1, G.p) % G.p
 
 
 def crossed_hom_check(
@@ -173,7 +174,7 @@ def best_ground_approx(G: TameCyclic, a: Series) -> tuple[Series, GroupValue]:
     """The coset-0 part c_0 and v(a - c_0), the maximum of v(a - c) over
     ground elements c."""
     c0 = standard_basis_decompose(G, a)[0]
-    return c0, (a - c0).val()
+    return c0, val_diff(a, c0)
 
 
 def trace(G: TameCyclic, a: Series) -> Series:

@@ -38,7 +38,7 @@ from math import comb, gcd
 
 from .errors import PreconditionError
 from .hahn import Series, dot
-from .ordval import INF, GroupValue
+from .ordval import GroupValue
 
 
 @dataclass(frozen=True)
@@ -237,12 +237,7 @@ def taylor_check(f: ValPoly, c: Series, x: Series) -> bool:
     for fi_c in taylor_coefficients(f, c):
         rhs = rhs + fi_c * power
         power = power * diff
-    delta = lhs - rhs
-    if not delta.terms:
-        return True
-    if lhs.precision is not INF and delta.val() >= lhs.precision:
-        return True
-    return False
+    return not (lhs - rhs).terms
 
 
 def poly_divmod(g: ValPoly, f: ValPoly) -> tuple[ValPoly, ValPoly]:

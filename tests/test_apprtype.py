@@ -11,7 +11,7 @@ from apxval.errors import (
     StabilizationError,
 )
 from apxval.hahn import Series, integers_predicate, p_power_denominators
-from apxval.ordval import Cut, INF
+from apxval.ordval import Cut, INF, compare_value_cut
 import apxval.apprtype as apprtype
 from apxval.valpoly import ValPoly
 from apxval.apprtype import ApproxType, Fixed, NotFixed, pushed_forward
@@ -123,6 +123,35 @@ def test_same_type():
     assert A.same_type(shifted)
     assert A.same_type(A.target)
     assert not A.same_type(A.target + Series.monomial(p, -2))
+
+
+def test_same_type_refusals():
+    p = 3
+    A = theta_type(p)
+    # a difference that truncation hides decides only when its precision
+    # clears the distance cut (<0)
+    assert A.same_type(A.target + Series.zero(p, Fraction(1, 2)))
+    with pytest.raises(InsufficientPrecision, match="precision too low"):
+        A.same_type(A.target + Series.zero(p, Fraction(-1, 2)))
+    x = Series.monomial(p, -1)
+    trivial = ApproxType(x, p_power_denominators(p), (Series.zero(p), x))
+    with pytest.raises(PreconditionError, match="immediate"):
+        trivial.same_type(x)
+    # on an attained distance (<=1/2), the boundary value itself is >= it
+    x = Series.make(p, [(0, 1), (Fraction(1, 2), 1)])
+    B = ApproxType(x, integers_predicate(), (Series.zero(p),))
+    assert B.distance() == Cut.below_or_equal(Fraction(1, 2))
+    assert B.same_type(x + Series.monomial(p, Fraction(1, 2)))
+    assert not B.same_type(x + Series.monomial(p, Fraction(1, 3)))
+
+
+def test_every_value_is_at_or_past_a_cut_or_below_it():
+    # same_type answers False for any value that is not >= the distance
+    cuts = [Cut.strictly_below(0), Cut.below_or_equal(0), Cut.plus_infinity()]
+    for cut in cuts:
+        for v in (Fraction(-1), Fraction(0), Fraction(1), INF):
+            rel = compare_value_cut(v, cut)
+            assert rel.ge or rel.lt
 
 
 def test_fixes_value_minpoly_not_fixed():
@@ -353,6 +382,35 @@ def test_verify_not_fixed_rejects_non_immediate():
     g = ValPoly(p, (-Series.monomial(p, 1), Series.zero(p), Series.one(p)))  # X^2 - t
     with pytest.raises(PreconditionError):
         A.verify_not_fixed_for_minpoly(g)
+
+
+def test_verify_not_fixed_refusals():
+    p = 3
+    x = Series.monomial(p, -1)
+    trivial = ApproxType(x, p_power_denominators(p), (Series.zero(p), x))
+    with pytest.raises(PreconditionError, match="needs an immediate type"):
+        trivial.verify_not_fixed_for_minpoly(theta_minpoly(p))
+    # v(x) = -1/3 is no higher than v(c_n) = -1/3: x is no root of X
+    A = theta_type(p)
+    X = ValPoly(p, (Series.zero(p), Series.one(p)))
+    with pytest.raises(PreconditionError, match="root"):
+        A.verify_not_fixed_for_minpoly(X)
+
+
+def test_verify_not_fixed_answers_false_for_a_fixed_value():
+    # g vanishes at both approximants 0 and t^(-1/3), and truncation hides
+    # g(x) through its factor X - (t^(-1/3) + t^(-1/9)): the type fixes
+    # v(g) = inf
+    p = 3
+    A = ApproxType.from_truncations(
+        theta_target(p, 2, 0), p_power_denominators(p),
+        distance_hint=Cut.strictly_below(0),
+    )
+    g = ValPoly(p, (Series.zero(p), Series.one(p)))
+    for c in (A.approximants[1], A.target.prefix(2)):
+        g = g * ValPoly(p, (-c, Series.one(p)))
+    assert A._fixed(g) == (INF, [INF, INF, None])
+    assert A.verify_not_fixed_for_minpoly(g) is False
 
 
 def test_verify_not_fixed_composite_degree():

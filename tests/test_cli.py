@@ -448,6 +448,26 @@ def test_factor_shape_subcommand(capsys, tmp_path):
     assert payload["residue_coeffs"][3] == 1
 
 
+def test_factor_shape_refuses_a_type_too_shallow_for_its_law(capsys, tmp_path):
+    # over a window of one, the envelope alone answers h = 1 with the
+    # threshold -1/8; the shape at v(x - c) = -1/4 before it fails, which
+    # says the type is too shallow (exit 1), not that the routes disagree
+    path = _theta_type_file(tmp_path, 2, terms=2)
+    cfg = tmp_path / "session.cfg"
+    cfg.write_text("window = 1\n")
+    poly = (
+        "(t)*X^5 + (t^(-1/4) + t)*X^4 + (t^(-3/4) + t^(-1/4) + 1)*X^3"
+        " + (t^(-5/4) + t^(-1) + t^(-3/4))*X^2 + (t^(-7/4) + t^(-1))*X + (t^(-2))"
+    )
+    code, out, err = run_cli(
+        capsys, "--p", "2", "--config", str(cfg), "factor-shape",
+        "--type", path, "--poly", poly,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("check failed:")
+    assert "v(x - c) = -1/4 with the law's threshold -1/8" in err
+
+
 def test_envelope_subcommand(capsys):
     family = json.dumps(
         {

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from apxval.errors import (
+    ApxError,
     InsufficientPrecision,
     InternalInconsistency,
     MarkerViolation,
@@ -13,8 +14,8 @@ from apxval.errors import (
     StabilizationError,
 )
 from apxval.envelope import envelope_law
-from apxval.hahn import Series, p_power_denominators
-from apxval.ordval import Cut, scale_cut, shift_cut
+from apxval.hahn import Series, invert, p_power_denominators
+from apxval.ordval import INF, Cut, scale_cut, shift_cut
 from apxval.parsing import parse_poly
 from apxval.valpoly import ValPoly, formal_derivative, taylor_coefficients
 from apxval.apprtype import ApproxType, Fixed
@@ -808,3 +809,282 @@ def test_factor_shape_refusals():
     assert reduced_factor_shape(
         A, g, A.approximants[3], Series.monomial(2, Fraction(1, 16))
     ) == [1, 0, 1, 0, 0, 0]
+
+
+def test_combine_same_degree_refusals():
+    p = 3
+    A = theta_type(p)
+    f = theta_minpoly(p)
+    one = Series.one(p)
+    for proxies, ks, ds in (([f], [one, one], [one]), ([], [], [])):
+        with pytest.raises(PreconditionError, match="matching nonempty"):
+            combine_same_degree(A, proxies, ks, ds)
+    X = _x_power(p, 1)
+    with pytest.raises(PreconditionError, match="common h"):
+        combine_same_degree(A, [f, X], [one, one], [one, one])
+    # a sum that truncation hides counts as cancelled
+    neg = Series.monomial(p, 0, p - 1)
+    with pytest.raises(PreconditionError, match="cancellation"):
+        combine_same_degree(A, [f, f], [one, neg], [one, one + Series.zero(p, 1)])
+    # coefficients that do not belong to the proxies hide a cancellation:
+    # f - (f + X) = -X has h = 1
+    t = Series.monomial(p, 1)
+    with pytest.raises(InternalInconsistency, match="changed h from 3 to 1"):
+        combine_same_degree(A, [f, f + X], [one, neg], [one, t])
+
+
+def test_approx_coefficient_refuses_a_vanishing_derivative(monkeypatch):
+    # rel_degree reads a finite h-th intercept on the window, so the exact
+    # zero comes only from a derivative that is not the polynomial's
+    p = 3
+    monkeypatch.setattr(reldeg, "formal_derivative", lambda f, i: ValPoly.zero(p))
+    with pytest.raises(PreconditionError, match="vanishes on the tail"):
+        approx_coefficient(theta_type(p), theta_minpoly(p))
+
+
+def test_approx_coefficient_refuses_a_hidden_derivative_sample():
+    # the last sample: 3 * a_3 = 0 drops out of the Taylor row but keeps the
+    # precision of a_3 = t^(-7/12) + O(t^(-1/4)) in the derivative f_1,
+    # which hides f_1(c_n) at every approximant past c_0
+    A = theta_type(3, 6, precision=3, transcendental=True)
+    f = parse_poly(
+        "(t)*X^4 + (t^(-7/12) + O(t^(-1/4)))*X^3 + (2*t^(-1/6) + t^(1/4))*X^2"
+        " + (2*t^(-5/6) + 2*t^(-1/4))*X + (O(t^(-5/4)))",
+        3,
+    )
+    last = formal_derivative(f, 1)(A.approximants[A.tail()[-1]])
+    assert not last.terms and last.precision == Fraction(-11, 12)
+    with pytest.raises(InsufficientPrecision, match="no truncation"):
+        approx_coefficient(A, f)
+    # an earlier sample: f_1(c) = 2c + c_2 + O(t^(4/3)) is hidden at c_2,
+    # the first tail approximant, and of value -1/27 past it
+    A = theta_type(3)
+    c2 = A.approximants[A.tail()[0]]
+    f = parse_poly(f"(t + O(t^2))*X^3 + X^2 + ({c2})*X", 3)
+    samples = [formal_derivative(f, 1)(A.approximants[n]) for n in A.tail()]
+    assert not samples[0].terms and samples[-1].val() == Fraction(-1, 27)
+    with pytest.raises(InsufficientPrecision, match="no truncation"):
+        approx_coefficient(A, f)
+
+
+# --- the factor shape read by the residue map --------------------------------
+
+
+def _series_factor_shape(A, f, c, d):
+    """The factor shape built from series: each row rescaled by powers of d
+    and an inverse of f_h(c), the constant term from the powers of
+    x0 = d * (x - c), and every residue read off a series."""
+    h = rel_degree(A, f).h
+    xc = A.target - c
+    if d.val() != -xc.val():
+        raise PreconditionError("scaling element must have value -v(x - c)")
+    p = f.p
+    tab = taylor_coefficients(f, c, start=1)
+    fh_c = tab[h - 1]
+    v_fh = fh_c.val()
+    slack = Fraction(1)
+    for i, f_i in enumerate(tab, 1):
+        if f_i.is_exact_zero:
+            continue
+        need = 2 * v_fh - (f_i.val() + (h - i) * d.val()) + 1
+        slack = max(slack, need - v_fh)
+    inv = invert(fh_c, v_fh + slack)
+    x0 = d * xc
+    d_powers = [Series.one(p)]
+    while len(d_powers) < max(h, len(tab) - h + 1):
+        d_powers.append(d_powers[-1] * d)
+    coeffs = [Series.zero(p)]
+    power = Series.one(p)
+    for i, f_i in enumerate(tab, 1):
+        scale = d_powers[h - i] if h >= i else invert(d_powers[i - h], INF)
+        a_i = f_i * scale * inv
+        if reldeg._value_or_precision(a_i) < 0:
+            raise PreconditionError(f"coefficient {i} is not integral")
+        coeffs.append(a_i)
+        power = power * x0
+        coeffs[0] = coeffs[0] - a_i * power
+    if reldeg._value_or_precision(coeffs[0]) < 0:
+        raise PreconditionError("constant term is not integral")
+    residues = [a.residue() for a in coeffs]
+    r = x0.residue()
+    if residues != reldeg._power_of_linear(p, r, h, f.degree()):
+        raise InternalInconsistency(f"residue polynomial {residues}")
+    return residues, r
+
+
+def _random_series(rng, p, exps, trunc):
+    terms = [
+        (rng.choice(exps), rng.randint(1, p - 1)) for _ in range(rng.randint(0, 2))
+    ]
+    if not trunc:
+        return Series(p, terms)
+    top = max([e for e, _ in terms], default=exps[0])
+    return Series(p, terms, top + Fraction(1, 4))
+
+
+def _shape_cases(seed, count):
+    """(A, f, c, d) over p = 2, 3, 5: theta-like targets with random
+    coefficients, so x - c need not lead with 1; theta's polynomial,
+    perturbations of it and random ones, some coefficients truncated; c
+    every approximant, some moved off it; d a monomial, two terms or
+    truncated."""
+    rng = random.Random(seed)
+    while count > 0:
+        p = rng.choice([2, 3, 5])
+        terms = rng.choice([4, 6, 8])
+        target = Series(
+            p,
+            [(Fraction(-1, p**i), rng.randint(1, p - 1)) for i in range(1, terms + 1)],
+            rng.choice([1, 2]),
+        )
+        A = ApproxType.from_truncations(
+            target, p_power_denominators(p), distance_hint=Cut.strictly_below(0)
+        )
+        exps = [Fraction(k, 2 * p * p) for k in range(-4 * p * p, 4 * p * p + 1)]
+        f = theta_minpoly(p)
+        kind = rng.random()
+        if kind > 0.3:
+            coeffs = [
+                _random_series(rng, p, exps, rng.random() < 0.3)
+                for _ in range(rng.randint(1, p + 2))
+            ]
+            g = ValPoly(p, coeffs + [Series.monomial(p, rng.choice(exps), 1)])
+            f = f + g if kind < 0.6 else g
+        for c in A.approximants:
+            u = rng.randint(1, p - 1)
+            if rng.random() < 0.2:
+                c = c + Series.monomial(p, rng.choice(exps[len(exps) // 2:]), u)
+            e = -(A.target - c).val()
+            d = Series.monomial(p, e, u)
+            kind = rng.random()
+            if kind < 0.3:
+                d = d + Series.monomial(p, e + Fraction(rng.randint(1, 12), 6), u)
+            elif kind < 0.6:
+                d = d + Series.zero(p, e + Fraction(rng.randint(1, 24), 8))
+            yield A, f, c, d
+            count -= 1
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ApxError, TypeError) as exc:
+        return type(exc)
+
+
+def test_factor_shape_matches_the_series_construction_randomized():
+    answered = refused = 0
+    tails = set()
+    for A, f, c, d in _shape_cases(2024, 2000):
+        want = _outcome(_series_factor_shape, A, f, c, d)
+        got = _outcome(reldeg._factor_shape, A, f, c, d)
+        if isinstance(want, tuple):
+            assert got == want, (str(f), str(c), str(d))
+            answered += 1
+        else:
+            refused += 1
+        if id(A) not in tails:
+            tails.add(id(A))
+            want = _outcome(_series_tail_shape, A, f)
+            if isinstance(want, tuple):
+                assert tail_factor_shape(A, f) == want
+    assert answered > 1000 and refused > 100
+
+
+def _series_tail_shape(A, f):
+    n = A.tail()[-1]
+    return _series_factor_shape(
+        A, f, A.approximants[n], Series.monomial(f.p, -A.gamma(n))
+    )
+
+
+def test_factor_shape_and_chi_never_call_invert(monkeypatch):
+    # every residue is a ratio of leading coefficients mod p
+    import apxval.hahn as hahn
+    import apxval.tamegal as tamegal
+
+    def tripwire(a, target):
+        raise AssertionError("invert called")
+
+    for module in (hahn, reldeg, tamegal):
+        monkeypatch.setattr(module, "invert", tripwire, raising=False)
+    for A, f, c, d in _shape_cases(5, 60):
+        _outcome(reldeg._factor_shape, A, f, c, d)
+    for p in (2, 3, 5):
+        A = theta_type(p)
+        assert tail_factor_shape(A, theta_minpoly(p))[1] == 1
+    G = tamegal.TameCyclic.make(5, 4)
+    d = Series(5, [(Fraction(1, 4), 2), (Fraction(3, 4), 1)], Fraction(1, 2))
+    assert tamegal.chi(G, G.element(1), d) == G.zeta
+
+
+def test_factor_shape_refuses_a_vanishing_or_hidden_f_h():
+    # h = 1 and f_1(0) = 3 t^(-1/2) * 0 + 2 t^(1/2) * 0 = 0 exactly, at
+    # v(x - c_0) = -1/2 before the threshold -1/4: the type is too shallow
+    A = theta_type(2)
+    f = parse_poly("(t^(-1/2))*X^3 + (t^(1/2))*X^2", 2)
+    assert rel_degree(A, f).threshold == Fraction(-1, 4)
+    d = Series.monomial(2, Fraction(1, 2))
+    with pytest.raises(
+        InsufficientPrecision, match=r"vanishes at v\(x - c\) = -1/2 .* -1/4"
+    ):
+        reduced_factor_shape(A, f, A.approximants[0], d)
+    # over a window of one, f = X^3 + X^2 + c* X has h = 1, and f_1 = c* - X
+    # vanishes at c = c*, of v(x - c*) = 1/2 past the threshold
+    p = 3
+    A = replace(theta_type(p), window=1)
+    c = A.target.prefix(len(A.target.terms)) + Series.monomial(p, Fraction(1, 2))
+    one = Series.one(p)
+    d = Series.monomial(p, Fraction(-1, 2))
+    f = ValPoly(p, (Series.zero(p), c, one, one))
+    assert rel_degree(A, f).h == 1
+    with pytest.raises(PreconditionError, match="h-th derivative vanishes"):
+        reduced_factor_shape(A, f, c, d)
+    # with c*'s coefficient known only below t, f_1(c*) = O(t)
+    f = ValPoly(p, (Series.zero(p), c + Series.zero(p, 1), one, one))
+    with pytest.raises(InsufficientPrecision, match="truncation hides f_1"):
+        reduced_factor_shape(A, f, c, d)
+
+
+def _shallow_type():
+    return ApproxType.from_truncations(
+        Series(2, [(Fraction(-1, 2), 1), (Fraction(-1, 4), 1)], 1),
+        p_power_denominators(2),
+        distance_hint=Cut.strictly_below(0),
+        window=1,
+    )
+
+
+def test_factor_shape_on_a_too_shallow_type_is_a_refusal():
+    # the envelope alone answers h = 1 (the law is h = 2) with the
+    # threshold -1/8, which both tail approximants lie before
+    A = _shallow_type()
+    g = parse_poly(LATE_LAW_POLY, 2)
+    rd = rel_degree(A, g)
+    assert (rd.h, rd.threshold, rd.points) == (1, Fraction(-1, 8), ())
+    for n in A.tail():
+        gamma = A.gamma(n)
+        with pytest.raises(
+            InsufficientPrecision, match=rf"v\(x - c\) = {gamma} .* -1/8"
+        ):
+            reduced_factor_shape(
+                A, g, A.approximants[n], Series.monomial(2, -gamma)
+            )
+
+
+def test_a_failing_shape_past_the_threshold_is_a_route_disagreement(monkeypatch):
+    # at p = 2, gamma_0 = -1/2 is theta's threshold, and the shape there
+    # holds; a shape that fails there is a refusal, past it a disagreement
+    A = theta_type(2)
+    f = theta_minpoly(2)
+    assert rel_degree(A, f).threshold == A.gamma(0) == Fraction(-1, 2)
+    shape = [1, 0, 1]
+    for n in (0, A.tail()[-1]):
+        d = Series.monomial(2, -A.gamma(n))
+        assert reduced_factor_shape(A, f, A.approximants[n], d) == shape
+    monkeypatch.setattr(reldeg, "_power_of_linear", lambda p, r, h, deg: [0, 0, 1])
+    d = Series.monomial(2, -A.gamma(0))
+    with pytest.raises(InsufficientPrecision, match="not \\(Z - 1\\)\\^2"):
+        reduced_factor_shape(A, f, A.approximants[0], d)
+    with pytest.raises(InternalInconsistency, match="not \\(Z - 1\\)\\^2"):
+        tail_factor_shape(A, f)

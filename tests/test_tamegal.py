@@ -4,8 +4,12 @@ from fractions import Fraction
 import pytest
 from test_hahn import assert_series_invariants
 
-from apxval.errors import IndeterminateValuation, PreconditionError
-from apxval.hahn import Series
+from apxval.errors import (
+    IndeterminateValuation,
+    InsufficientPrecision,
+    PreconditionError,
+)
+from apxval.hahn import Series, invert
 from apxval.ordval import INF
 from apxval.tamegal import (
     GaloisElem,
@@ -98,6 +102,55 @@ def test_chi_examples():
     assert chi(G, G.element(1), s) == 2  # -1 mod 3
     a = Series.make(3, [(1, 1), (2, 2)])
     assert chi(G, G.element(1), a) == 1  # ground elements in the kernel
+
+
+def _series_chi(G, sigma, d):
+    """chi as the residue of the series sigma(d) * d^(-1), the inverse
+    known to precision v(d) + 1."""
+    vd = d.val()
+    if vd is INF:
+        raise PreconditionError("chi of zero")
+    return (sigma(d) * invert(d, vd + 1)).coeff(0)
+
+
+def test_chi_refuses_a_d_outside_the_extension():
+    # sigma reads every term of d, not only the leading one that the
+    # residue needs: t^(1/4) does not lie in the degree-2 step
+    G = TameCyclic.make(5, 2)
+    d = Series(5, [(Fraction(1, 2), 1), (Fraction(5, 4), 1)])
+    with pytest.raises(PreconditionError, match="degree-2 step"):
+        chi(G, G.element(1), d)
+
+
+def test_chi_matches_the_series_quotient_randomized():
+    # p = 2, 3, 5 with every n | p - 1; d of one to four terms, exact or
+    # truncated close above its last term or farther
+    rng = random.Random(4242)
+    groups = [
+        TameCyclic.make(p, n) for p in (2, 3, 5) for n in (1, 2, 4) if (p - 1) % n == 0
+    ]
+    answered = 0
+    for _ in range(10000):
+        G = rng.choice(groups)
+        sigma = G.element(rng.randrange(G.n))
+        den = G.n * G.p ** rng.randint(0, 2)
+        exps = sorted({
+            Fraction(rng.randint(-3 * den, 3 * den), den)
+            for _ in range(rng.randint(1, 4))
+        })
+        terms = [(e, rng.randint(1, G.p - 1)) for e in exps]
+        if rng.random() < 0.5:
+            d = Series(G.p, terms)
+        else:
+            gap = Fraction(rng.randint(1, 3 * den), den) / rng.choice([1, 4])
+            d = Series(G.p, terms, exps[-1] + gap)
+        try:
+            want = _series_chi(G, sigma, d)
+        except InsufficientPrecision:
+            continue
+        assert chi(G, sigma, d) == want
+        answered += 1
+    assert answered > 8000
 
 
 @pytest.mark.parametrize("p,n", PAIRS)

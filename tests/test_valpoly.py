@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from apxval import hahn
+from apxval import hahn, valpoly
 from apxval.errors import PreconditionError
 from apxval.hahn import Series, min_value
 from apxval.ordval import INF
@@ -132,6 +132,28 @@ def test_taylor_check_randomized():
         c = random_series(rng, p)
         x = random_series(rng, p)
         assert taylor_check(f, c, x)
+
+
+def test_taylor_check_sees_a_wrong_row(monkeypatch):
+    # f(x) - sum_i f_i(c) (x - c)^i lies below both precisions, so any
+    # term of it is a disagreement
+    rng = random.Random(8)
+    p = 3
+    f, c, x = random_poly(rng, p, 4), random_series(rng, p), random_series(rng, p)
+    assert taylor_check(f, c, x)
+    rows = taylor_coefficients(f, c)
+    wrong = rows[:1] + [rows[1] + Series.one(p)] + rows[2:]
+    monkeypatch.setattr(valpoly, "taylor_coefficients", lambda f, c: wrong)
+    assert not taylor_check(f, c, x)
+
+
+def test_difference_is_the_sum_with_the_negation():
+    rng = random.Random(9)
+    for p in (2, 3, 5):
+        f, g = random_poly(rng, p, 5), random_poly(rng, p, 3)
+        assert f - g == f + (-g)
+        # zero up to each coefficient's precision
+        assert all(not c.terms for c in (f - f).coeffs)
 
 
 def test_taylor_table_matches_derivatives():
