@@ -6,7 +6,9 @@ increases toward an approach cut, the family is eventually strictly
 ordered; this module computes the ordering permutation, an explicit
 threshold beta past which it holds, and the eventual argmin.  One query
 is one sort: the threshold comes from the crossings of neighbours in the
-sorted order, not from all pairs.
+sorted order, not from all pairs.  The sort and the crossings use integer
+keys over the intercepts' common denominator; beta is the one Fraction a
+query builds.
 
 The relative approximation degree law has two independent routes, and
 both use this module: ``envelope_law`` takes h as the eventual argmin of
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import PreconditionError, StabilizationError
 from .ordval import INF, Cut, GroupValue, is_finite
@@ -58,46 +61,56 @@ class EventualOrder:
     permutation: tuple[int, ...]
 
 
-def _descending_key(approach: Cut):
-    """Sort key for the eventual order just below the approach cut:
-    infinite intercepts first (kept in family order); toward +inf by slope
-    descending; toward a principal boundary g0 by value at g0 descending,
-    ties by slope ascending (just below g0 the smaller slope is larger
-    among items equal at g0)."""
-    g0 = None if approach.is_infinite else approach.boundary
-
-    def key(it: AffineItem):
-        if it.intercept is INF:
-            return (0,)
-        if g0 is None:
-            return (1, -it.slope)
-        return (1, -(it.intercept + it.slope * g0), it.slope)
-
-    return key
-
-
 def eventual_order(family: AffineFamily) -> EventualOrder:
     """The strict descending order holding for all gamma past beta and
-    below the approach cut."""
-    approach = family.approach
-    ordered = sorted(family.items, key=_descending_key(approach))
+    below the approach cut, computed with integer keys over the intercepts'
+    common denominator: every finite intercept is N / L, L the lcm of their
+    denominators, so items compare as integers and only beta is a Fraction.
+
+    Infinite intercepts come first, in family order.  Toward +inf the
+    finite items sort by slope descending.  Toward a principal boundary
+    g0 = n0 / d0 they sort by value at g0 descending, L * d0 times that
+    value being N * d0 + slope * n0 * L, ties by slope ascending (just
+    below g0 the smaller slope is larger among items equal at g0)."""
+    g0 = family.approach.boundary
+    finite = [it for it in family.items if it.intercept is not INF]
+    L = lcm(*[it.intercept.denominator for it in finite])
+    # (N, slope, index) per finite item
+    lines = [
+        (it.intercept.numerator * (L // it.intercept.denominator), it.slope, it.index)
+        for it in finite
+    ]
+    if g0 is None:
+        lines.sort(key=lambda ln: -ln[1])
+    else:
+        n0, d0 = g0.numerator, g0.denominator
+        n0L = n0 * L
+        lines.sort(key=lambda ln: (-(ln[0] * d0 + ln[1] * n0L), ln[1]))
     # Past the last crossing that matters the order is the sorted one, and
     # the items meeting at that crossing are neighbours in it, so the
     # crossings of neighbouring finite items reach the all-pairs maximum.
-    finite = [it for it in ordered if is_finite(it.intercept)]
-    crossings = [
-        Fraction(a.intercept - b.intercept, b.slope - a.slope)
-        for a, b in zip(finite, finite[1:])
-    ]
-    if approach.is_infinite:
-        beta = max(crossings) + 1 if crossings else Fraction(0)
+    # Neighbours a, b cross at (N_a - N_b) / (L * (s_b - s_a)), kept as a
+    # pair (num, den) with den > 0 and compared by cross-multiplication.
+    best = None
+    for (na, sa, _), (nb, sb, _) in zip(lines, lines[1:]):
+        num, den = na - nb, L * (sb - sa)
+        if den < 0:
+            num, den = -num, -den
+        # toward a boundary only crossings below it disturb the order on
+        # an interval just below it
+        if g0 is not None and not num * d0 < n0 * den:
+            continue
+        if best is None or num * best[1] > best[0] * den:
+            best = (num, den)
+    if g0 is None:
+        # one past the last crossing
+        beta = Fraction(best[0] + best[1], best[1]) if best else Fraction(0)
     else:
-        # crossings at or above the boundary never disturb the order on an
-        # interval just below it; only crossings below the boundary matter
-        g0 = approach.boundary
-        base = max([x for x in crossings if x < g0], default=g0 - 1)
-        beta = Fraction(base + g0, 2)
-    return EventualOrder(beta, tuple(it.index for it in ordered))
+        # halfway from the last crossing below g0, or from g0 - 1, to g0
+        num, den = best or (n0 - d0, d0)
+        beta = Fraction(num * d0 + n0 * den, 2 * den * d0)
+    infinite = [it.index for it in family.items if it.intercept is INF]
+    return EventualOrder(beta, (*infinite, *[ln[2] for ln in lines]))
 
 
 def _ordered_argmin(family: AffineFamily) -> tuple[int, EventualOrder]:

@@ -356,10 +356,12 @@ class Series:
         return _fraction(n, d)
 
     def scale(self, c: int) -> "Series":
+        """Multiplication by the integer c: an exact zero when p divides c,
+        as ``0 * self`` is."""
         p = self.p
         c %= p
         if c == 0:
-            return _from_ints(p, 1, (), (), self.precision)
+            return Series.zero(p)
         coeffs = tuple([x * c % p for x in self.coeffs])
         return _from_ints(p, self.den, self.exps, coeffs, self.precision)
 

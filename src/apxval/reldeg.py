@@ -24,8 +24,8 @@ from .errors import (
     PreconditionError,
     StabilizationError,
 )
-from .hahn import Series, _prime_to_p, dot, val_diff
-from .ordval import INF, Cut, GroupValue, is_finite, scale_cut, shift_cut
+from .hahn import Series, _prime_to_p, dot, min_value, val_diff
+from .ordval import INF, Cut, GroupValue, scale_cut, shift_cut
 from .valpoly import (
     ValPoly,
     f_adic_expand,
@@ -72,14 +72,14 @@ def _tail_values(
     pts = []
     for n in A.tail():
         g = A.gamma(n)
-        if not is_finite(g):
-            continue
         if above is not None and not g > above:
             continue
         try:
             w = val_diff(fx, power_sum(f, A.approximants[n], powers[n]))
         except IndeterminateValuation:
             continue
+        # an infinite gamma_n makes c_n the target itself, so its value is
+        # infinite or hidden and the point is dropped with the others
         if w is INF:
             continue
         pts.append((g, w))
@@ -245,8 +245,17 @@ def approx_coefficient(A: ApproxType, f: ValPoly) -> tuple[Series, RelDegree]:
 
 
 def _certify_coefficient(samples: list[Series], d: Series) -> bool:
+    """v(s - d) > v(d) for every sample s, the lesser precision standing in
+    for a difference that truncation hides; s - d is never formed."""
     vd = d.val()
-    return all(_value_or_precision(s - d) > vd for s in samples)
+    for s in samples:
+        try:
+            w = val_diff(s, d)
+        except IndeterminateValuation:
+            w = min_value(s.precision, d.precision)
+        if not w > vd:
+            return False
+    return True
 
 
 def _value_or_precision(s: Series) -> GroupValue:

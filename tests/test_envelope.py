@@ -213,6 +213,100 @@ def test_tie_at_the_boundary_goes_to_the_smaller_slope():
     assert order.beta == Fraction(1, 2)
 
 
+# --- integer keys against the Fraction-keyed reference ----------------------
+
+
+def _fraction_eventual_order(family):
+    """The eventual order with a Fraction sort key per item and a Fraction
+    per neighbour crossing."""
+    approach = family.approach
+    g0 = None if approach.is_infinite else approach.boundary
+
+    def key(it):
+        if it.intercept is INF:
+            return (0,)
+        if g0 is None:
+            return (1, -it.slope)
+        return (1, -(it.intercept + it.slope * g0), it.slope)
+
+    ordered = sorted(family.items, key=key)
+    finite = [it for it in ordered if it.intercept is not INF]
+    crossings = [
+        Fraction(a.intercept - b.intercept, b.slope - a.slope)
+        for a, b in zip(finite, finite[1:])
+    ]
+    if g0 is None:
+        beta = max(crossings) + 1 if crossings else Fraction(0)
+    else:
+        base = max([x for x in crossings if x < g0], default=g0 - 1)
+        beta = Fraction(base + g0, 2)
+    return envelope.EventualOrder(beta, tuple(it.index for it in ordered))
+
+
+# the first 48 primes: distinct denominators whose lcm is about 10^90
+PRIMES = [q for q in range(2, 224) if all(q % r for r in range(2, q))]
+
+
+def _differential_family(rng):
+    """Up to 48 items: int intercepts, distinct prime denominators, lines
+    tied at the boundary, or a single finite item among infinite ones."""
+    m = rng.choice([1, 2, rng.randint(1, 8), rng.randint(16, 48)])
+    slopes = rng.sample(range(-4 * m - 4, 4 * m + 5), m)
+    g0 = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+    kind = rng.choice(["int", "primes", "tied", "mixed"])
+    dens = rng.sample(PRIMES, m)
+    intercepts = []
+    for q, s in zip(dens, slopes):
+        if kind == "int":
+            b = rng.randint(-60, 60)
+        elif kind == "primes":
+            b = Fraction(rng.randint(1, 10**3) * rng.choice([-1, 1]), q)
+        elif kind == "tied":
+            b = Fraction(rng.randint(-2, 2), rng.choice([1, 3])) - s * g0
+        else:
+            b = Fraction(rng.randint(-60, 60), rng.randint(1, 20))
+        intercepts.append(b)
+    infinite = [rng.random() < 0.15 for _ in slopes]
+    if rng.random() < 0.1 or all(infinite):
+        keep = rng.randrange(m)
+        infinite = [i != keep for i in range(m)]
+    items = [
+        (i, INF if inf else b, s)
+        for i, (b, s, inf) in enumerate(zip(intercepts, slopes, infinite))
+    ]
+    approach = rng.choice(
+        [Cut.plus_infinity(), Cut.strictly_below(g0), Cut.below_or_equal(g0)]
+    )
+    return AffineFamily.make(items, approach)
+
+
+def test_integer_keys_match_the_fraction_reference():
+    rng = random.Random(4848)
+    for _ in range(3_000):
+        fam = _differential_family(rng)
+        order = eventual_order(fam)
+        assert order == _fraction_eventual_order(fam), fam
+        assert type(order.beta) is Fraction
+
+
+def test_a_large_query_builds_at_most_two_fractions(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(envelope, "Fraction", counted)
+    items = [
+        (i, Fraction(i - 24, q), 3 * i - 70) for i, q in enumerate(PRIMES)
+    ]
+    for approach in (Cut.plus_infinity(), Cut.strictly_below(Fraction(-7, 5))):
+        fam = AffineFamily.make(items, approach)
+        built.clear()
+        eventual_order(fam), eventual_argmin(fam)
+        assert len(built) <= 2, built
+
+
 def _count_orders(monkeypatch):
     calls = []
     real = envelope.eventual_order

@@ -734,6 +734,68 @@ def test_rel_degree_preconditions():
         rel_degree(trivial, theta_minpoly(p))
 
 
+def test_sampled_law_skips_an_infinite_gamma():
+    # rel_degree refuses a trivial type, but the sampled route alone fits
+    # the points of finite gamma: f(x) - f(c) = (x - c)^p - (x - c), and
+    # at c = x it vanishes
+    p = 3
+    x = Series.make(p, [(-2, 1), (-1, 1)])
+    trivial = ApproxType(
+        x, p_power_denominators(p), (Series.zero(p), x.prefix(1), x)
+    )
+    assert trivial.gammas() == [-2, -1, INF]
+    pts = ((-2, -2 * p), (-1, -p))
+    assert sampled_law(trivial, theta_minpoly(p)) == (p, 0, pts)
+
+
+def test_rel_degree_general_refuses_a_digit_the_type_does_not_fix():
+    # v(c_n - c_last) is gamma_n, then infinite at the last approximant:
+    # the window of the last values is not constant
+    p = 2
+    A = theta_type(p)
+    g = ValPoly.make(p, [-A.approximants[-1], Series.one(p)])
+    with pytest.raises(MarkerViolation, match="digit 0 value is not fixed"):
+        rel_degree_general(A, g, theta_minpoly(p))
+
+
+def test_rel_degree_general_skips_a_hidden_value_of_g():
+    # g = f + t has the digits t and 1, so m = 1; a tail approximant known
+    # only below t^0 hides g(c) = -t^(-1/64) + t behind O(t^(-1/2)), and
+    # the law is checked on the other tail points
+    p = 2
+    A = theta_type(p)
+    f = theta_minpoly(p)
+    n = A.tail()[-2]
+    approximants = list(A.approximants)
+    approximants[n] = approximants[n].truncate(0)
+    A = replace(A, approximants=tuple(approximants))
+    g = f + ValPoly.make(p, [Series.monomial(p, 1)])
+    assert not g(A.approximants[n]).terms
+    assert rel_degree_general(A, g, f) == NotFixedLaw(1, p, 0)
+
+
+def test_certify_coefficient_matches_the_formed_difference():
+    # v(s - d), or the precision of s - d where truncation hides it
+    rng = random.Random(2424)
+
+    def series(p, e0):
+        terms = [(e0 + Fraction(k, rng.choice([1, 2, 3])), rng.randint(1, p - 1))
+                 for k in range(rng.randint(1, 3))]
+        prec = rng.choice([INF, e0 + Fraction(rng.randint(0, 6), 2)])
+        return Series.make(p, terms, prec)
+
+    for _ in range(2000):
+        p = rng.choice([2, 3, 5])
+        d = series(p, Fraction(rng.randint(-3, 3), 3))
+        if d.is_exact_zero or not d.terms:
+            continue
+        s = d + series(p, d.val() + Fraction(rng.randint(-2, 4), 4))
+        vd = d.val()
+        assert reldeg._certify_coefficient([s], d) == (
+            reldeg._value_or_precision(s - d) > vd
+        ), (s, d)
+
+
 def test_a_hidden_derivative_value_is_a_marker_violation():
     # at p = 2, f_1(c) = 2c + a_1 = a_1 = O(t^2): truncation hides it
     A = theta_type(2)
@@ -842,27 +904,40 @@ def test_approx_coefficient_refuses_a_vanishing_derivative(monkeypatch):
         approx_coefficient(theta_type(p), theta_minpoly(p))
 
 
-def test_approx_coefficient_refuses_a_hidden_derivative_sample():
-    # the last sample: 3 * a_3 = 0 drops out of the Taylor row but keeps the
-    # precision of a_3 = t^(-7/12) + O(t^(-1/4)) in the derivative f_1,
-    # which hides f_1(c_n) at every approximant past c_0
+def test_approx_coefficient_drops_a_zero_binomial():
+    # 3 * a_3 = 0 is an exact zero in the derivative f_1, as in the Taylor
+    # row, whatever the precision of a_3
     A = theta_type(3, 6, precision=3, transcendental=True)
     f = parse_poly(
         "(t)*X^4 + (t^(-7/12) + O(t^(-1/4)))*X^3 + (2*t^(-1/6) + t^(1/4))*X^2"
         " + (2*t^(-5/6) + 2*t^(-1/4))*X + (O(t^(-5/4)))",
         3,
     )
-    last = formal_derivative(f, 1)(A.approximants[A.tail()[-1]])
-    assert not last.terms and last.precision == Fraction(-11, 12)
+    c = A.approximants[A.tail()[-1]]
+    last = formal_derivative(f, 1)(c)
+    assert last == taylor_coefficients(f, c, start=1)[0]
+    assert last.precision is INF and last.val() == Fraction(-5, 6)
+    # the sample is seen, but its leading exponent lies outside Z[1/3], so
+    # no truncation of it is a ground element
+    assert not A.ground(Fraction(-5, 6))
     with pytest.raises(InsufficientPrecision, match="no truncation"):
         approx_coefficient(A, f)
-    # an earlier sample: f_1(c) = 2c + c_2 + O(t^(4/3)) is hidden at c_2,
-    # the first tail approximant, and of value -1/27 past it
+    # with h = 1 and f_1 = 3 a_3 X^2 + 1 = 1 every sample is exactly 1; a
+    # zero that kept the precision of a_3 hid them all behind O(t^0)
+    A = theta_type(3)
+    f = parse_poly("(t^(1/3) + O(t^(2/3)))*X^3 + X", 3)
+    d, rd = approx_coefficient(A, f)
+    assert (d, rd.h, rd.beta) == (Series.one(3), 1, 0)
+
+
+def test_approx_coefficient_refuses_a_sample_that_vanishes_at_c_2():
+    # f_1(c) = 2c + c_2 vanishes exactly at c_2, the first tail
+    # approximant, and is of value -1/27 past it: no d is within v(d) of 0
     A = theta_type(3)
     c2 = A.approximants[A.tail()[0]]
     f = parse_poly(f"(t + O(t^2))*X^3 + X^2 + ({c2})*X", 3)
     samples = [formal_derivative(f, 1)(A.approximants[n]) for n in A.tail()]
-    assert not samples[0].terms and samples[-1].val() == Fraction(-1, 27)
+    assert samples[0].is_exact_zero and samples[-1].val() == Fraction(-1, 27)
     with pytest.raises(InsufficientPrecision, match="no truncation"):
         approx_coefficient(A, f)
 
