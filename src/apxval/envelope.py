@@ -6,9 +6,12 @@ increases toward an approach cut, the family is eventually strictly
 ordered; this module computes the ordering permutation, an explicit
 threshold beta past which it holds, and the eventual argmin.  One query
 is one sort: the threshold comes from the crossings of neighbours in the
-sorted order, not from all pairs.  The sort and the crossings use integer
-keys over the intercepts' common denominator; beta is the one Fraction a
-query builds.
+sorted order, not from all pairs.
+
+Both the order and the fit work on integer numerators over one common
+denominator: the sort and the crossings over that of the intercepts, the
+fit over that of its points' coordinates.  Each builds one Fraction, its
+beta (the order's threshold, the law's constant).
 
 The relative approximation degree law has two independent routes, and
 both use this module: ``envelope_law`` takes h as the eventual argmin of
@@ -144,21 +147,40 @@ def fit_tail_law(
     points: list[tuple[Fraction, Fraction]],
 ) -> tuple[int, Fraction]:
     """The law w = beta + h * gamma, h a positive integer, through the last
-    two of the finite (gamma, w) points, checked on every point.  Raises
-    StabilizationError when there are fewer than two points or no such law
-    holds on all of them."""
+    two of the (gamma, w) points, checked on every point.  Raises
+    StabilizationError when there are fewer than two points, when one of
+    the last two is infinite, or when no such law holds on all of them.
+
+    Every finite coordinate is N / L over one common denominator L, so the
+    slope is an exact integer division, each point is checked as
+    W == B + h * G, and beta = B / L is the one Fraction a fit builds.  An
+    earlier point with an infinite coordinate is on the line only when
+    both are infinite, as beta + h * inf is inf."""
     if len(points) < 2:
         raise StabilizationError("too few points to fit an affine law")
     (g1, w1), (g2, w2) = points[-2], points[-1]
-    h = Fraction(w2 - w1, g2 - g1)
-    if h.denominator != 1 or h < 1:
-        raise StabilizationError(f"law slope {h} is not a positive integer")
-    h = int(h)
-    beta = w1 - h * g1
-    for g, w in points:
-        if w != beta + h * g:
+    for g, w in points[-2:]:
+        if g is INF or w is INF:
+            raise StabilizationError(f"law slope through ({g}, {w}) is not finite")
+    L = lcm(*[x.denominator for pt in points for x in pt if x is not INF])
+    G1, W1, G2, W2 = [x.numerator * (L // x.denominator) for x in (g1, w1, g2, w2)]
+    h, rem = divmod(W2 - W1, G2 - G1)
+    if rem or h < 1:
+        raise StabilizationError(
+            f"law slope {Fraction(W2 - W1, G2 - G1)} is not a positive integer"
+        )
+    B = W1 - h * G1
+    # the last two points lie on the line by construction
+    for g, w in points[:-2]:
+        if g is INF or w is INF:
+            on = g is w
+        else:
+            on = w.numerator * (L // w.denominator) == (
+                B + h * g.numerator * (L // g.denominator)
+            )
+        if not on:
             raise StabilizationError(
                 f"values follow no affine law: ({g}, {w}) is off the line "
-                f"w = {beta} + {h} * gamma"
+                f"w = {Fraction(B, L)} + {h} * gamma"
             )
-    return h, beta
+    return h, Fraction(B, L)

@@ -217,10 +217,14 @@ def h_upper_bound_from_coeffs(f: ValPoly) -> int:
 
 def approx_coefficient(A: ApproxType, f: ValPoly) -> tuple[Series, RelDegree]:
     """A ground-field element d with vd = v(f_h(c)) and
-    v(f_h(c) - d) > vd along the tail; certified before returning."""
+    v(f_h(c) - d) > vd along the tail past the law's threshold; certified
+    before returning."""
     rd = rel_degree(A, f)
     fh = formal_derivative(f, rd.h)
-    tail = A.tail()
+    # the law, and so the coefficient, need not hold up to the threshold
+    tail = [n for n in A.tail() if A.gamma(n) > rd.threshold]
+    if not tail:
+        raise InsufficientPrecision("no tail point past the law's threshold")
     samples = [fh(A.approximants[n]) for n in tail]
     last = samples[-1]
     if last.is_exact_zero:
@@ -345,7 +349,10 @@ def _factor_shape(
     # there says the type is too shallow, not that the routes disagree
     where = f"at v(x - c) = {-e} with the law's threshold {rd.threshold}"
     shallow = -e <= rd.threshold
-    tab = taylor_coefficients(f, c, start=1)
+    # at a tail approximant the table extends the powers rel_degree's
+    # Taylor route keeps for it
+    powers = next((A._powers[n] for n in A.tail() if A.approximants[n] is c), None)
+    tab = taylor_coefficients(f, c, powers, start=1)
     fh_c = tab[h - 1]
     if fh_c.is_exact_zero:
         raise (InsufficientPrecision if shallow else PreconditionError)(

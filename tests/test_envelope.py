@@ -400,3 +400,138 @@ def test_fit_tail_law_exact_line():
 def test_fit_tail_law_failures(pts, message):
     with pytest.raises(StabilizationError, match=message):
         fit_tail_law(pts)
+
+
+# --- the integer fit against the Fraction reference -------------------------
+
+
+def _fraction_fit(points):
+    """The affine-law fit in Fraction arithmetic throughout."""
+    if len(points) < 2:
+        raise StabilizationError("too few points to fit an affine law")
+    (g1, w1), (g2, w2) = points[-2], points[-1]
+    h = Fraction(w2 - w1, g2 - g1)
+    if h.denominator != 1 or h < 1:
+        raise StabilizationError(f"law slope {h} is not a positive integer")
+    h = int(h)
+    beta = w1 - h * g1
+    for g, w in points:
+        if w != beta + h * g:
+            raise StabilizationError(
+                f"values follow no affine law: ({g}, {w}) is off the line "
+                f"w = {beta} + {h} * gamma"
+            )
+    return h, beta
+
+
+def _outcome(fit, points):
+    try:
+        h, beta = fit(points)
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert type(h) is int
+    return h, beta
+
+
+def _random_value(rng, kind):
+    """A rational whose denominator is a power of p, a small prime, or
+    any small integer; sometimes a plain int."""
+    if rng.random() < 0.15:
+        return rng.randint(-40, 40)
+    if kind == "mixed":
+        kind = rng.choice(["p-power", "coprime", "any"])
+    if kind == "p-power":
+        den = rng.choice([2, 3, 5]) ** rng.randint(0, 6)
+    elif kind == "coprime":
+        den = rng.choice(PRIMES[:12])
+    else:
+        den = rng.randint(1, 60)
+    return Fraction(rng.randint(-200, 200), den)
+
+
+def _random_fit_points(rng):
+    """2 to 8 points on a line of integer slope >= 1, or of a fractional,
+    zero or negative slope; some moved off it, some with an infinite
+    value, and some ending in the two line points a law check appends."""
+    kind = rng.choice(["p-power", "coprime", "mixed"])
+    m = rng.randint(2, 8)
+    gammas = []
+    while len(gammas) < m:
+        g = _random_value(rng, kind)
+        if g not in gammas:
+            gammas.append(g)
+    if rng.random() < 0.5:
+        gammas.sort()
+    slope = rng.choice(
+        [
+            rng.randint(1, 12),
+            rng.randint(1, 12),
+            rng.randint(-5, 0),
+            Fraction(rng.randint(-30, 30), rng.choice([2, 3, 4, 5, 7, 9])),
+        ]
+    )
+    beta = _random_value(rng, kind)
+    points = [(g, beta + slope * g) for g in gammas]
+    if rng.random() < 0.3:
+        i = rng.randrange(m)
+        g, w = points[i]
+        points[i] = (g, w + (_random_value(rng, kind) or 1))
+    if m > 2 and rng.random() < 0.15:
+        i = rng.randrange(m - 2)
+        points[i] = rng.choice([(points[i][0], INF), (INF, INF), (INF, beta)])
+    if rng.random() < 0.25:
+        points = [*points[:-2], (0, beta), (1, beta + slope)]
+    return points
+
+
+def test_integer_fit_matches_the_fraction_reference():
+    rng = random.Random(2525)
+    fitted = 0
+    for _ in range(3_000):
+        points = _random_fit_points(rng)
+        got = _outcome(fit_tail_law, points)
+        assert got == _outcome(_fraction_fit, points), points
+        fitted += not isinstance(got[0], type)
+    # both outcomes are well represented
+    assert 600 < fitted < 2_400
+
+
+def test_a_fit_builds_one_fraction(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(envelope, "Fraction", counted)
+    gammas = [Fraction(-1, 3**k) for k in range(1, 7)]
+    pts = [(g, 3 * g + Fraction(1, 7)) for g in gammas]
+    assert fit_tail_law([*pts, (0, Fraction(1, 7)), (1, Fraction(22, 7))]) == (
+        3, Fraction(1, 7)
+    )
+    assert len(built) == 1
+
+
+def test_fit_tail_law_infinite_points():
+    line = [(Fraction(1), Fraction(3)), (Fraction(2), Fraction(5))]
+    # an infinite value among the earlier points is off the line
+    for pts in ([(Fraction(0), INF), *line], [(INF, Fraction(1)), *line]):
+        with pytest.raises(StabilizationError, match=r"off the line w = 1 \+ 2 \*"):
+            fit_tail_law(pts)
+        assert _outcome(fit_tail_law, pts) == _outcome(_fraction_fit, pts)
+    # beta + h * inf is inf: the point at infinity is on every line
+    assert fit_tail_law([(INF, INF), *line]) == (2, 1)
+    # one of the last two infinite: no slope, where the reference cannot
+    # subtract
+    for pts in ([line[0], (Fraction(3), INF)], [(INF, INF), line[1]]):
+        with pytest.raises(StabilizationError, match="is not finite"):
+            fit_tail_law(pts)
+        with pytest.raises(TypeError):
+            _fraction_fit(pts)
+
+
+def test_fit_tail_law_equal_last_gammas_divide_by_zero():
+    pts = [(Fraction(1, 3), Fraction(1)), (Fraction(1, 3), Fraction(2))]
+    for fit in (fit_tail_law, _fraction_fit):
+        with pytest.raises(ZeroDivisionError):
+            fit(pts)

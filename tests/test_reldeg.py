@@ -930,16 +930,52 @@ def test_approx_coefficient_drops_a_zero_binomial():
     assert (d, rd.h, rd.beta) == (Series.one(3), 1, 0)
 
 
-def test_approx_coefficient_refuses_a_sample_that_vanishes_at_c_2():
+def test_approx_coefficient_skips_a_sample_at_c_2_below_the_threshold():
     # f_1(c) = 2c + c_2 vanishes exactly at c_2, the first tail
-    # approximant, and is of value -1/27 past it: no d is within v(d) of 0
+    # approximant, and is of value -1/27 past it; c_2 lies below the law's
+    # threshold -1/54, where the coefficient need not hold
     A = theta_type(3)
     c2 = A.approximants[A.tail()[0]]
     f = parse_poly(f"(t + O(t^2))*X^3 + X^2 + ({c2})*X", 3)
     samples = [formal_derivative(f, 1)(A.approximants[n]) for n in A.tail()]
-    assert samples[0].is_exact_zero and samples[-1].val() == Fraction(-1, 27)
-    with pytest.raises(InsufficientPrecision, match="no truncation"):
-        approx_coefficient(A, f)
+    assert samples[0].is_exact_zero
+    assert all(s.val() == Fraction(-1, 27) for s in samples[1:])
+    d, rd = approx_coefficient(A, f)
+    assert (rd.h, rd.beta, rd.threshold) == (1, Fraction(-1, 27), Fraction(-1, 54))
+    assert A.gamma(A.tail()[0]) == Fraction(-1, 27) < rd.threshold
+    assert d == Series.monomial(3, Fraction(-1, 27), 2)
+
+
+def test_approx_coefficient_refuses_a_sample_past_the_threshold(monkeypatch):
+    # f_3 = 1 for the theta anchor, whose threshold is -1/2; a stand-in
+    # derivative of leading coefficient 2 at one tail point past it, the
+    # first or the one before the last, fails certification
+    p = 3
+    A = theta_type(p)
+    f = theta_minpoly(p)
+    assert rel_degree(A, f).threshold == Fraction(-1, 2)
+
+    def derivative_off_at(c_off):
+        def fh(c):
+            return Series.monomial(p, 0, 2 if c is c_off else 1)
+
+        return lambda f, i: fh
+
+    for n in (A.tail()[0], A.tail()[-2]):
+        assert A.gamma(n) > Fraction(-1, 2)
+        monkeypatch.setattr(
+            reldeg, "formal_derivative", derivative_off_at(A.approximants[n])
+        )
+        with pytest.raises(InsufficientPrecision, match="no truncation"):
+            approx_coefficient(A, f)
+    monkeypatch.undo()
+    # no tail point past the threshold: a shallow type read at window 1
+    A = replace(theta_type(2, 5), window=1)
+    g = parse_poly(LATE_LAW_POLY, 2)
+    rd = rel_degree(A, g)
+    assert max(A.gamma(n) for n in A.tail()) == rd.threshold == Fraction(-1, 32)
+    with pytest.raises(InsufficientPrecision, match="no tail point past"):
+        approx_coefficient(A, g)
 
 
 # --- the factor shape read by the residue map --------------------------------
@@ -1071,6 +1107,45 @@ def _series_tail_shape(A, f):
     return _series_factor_shape(
         A, f, A.approximants[n], Series.monomial(f.p, -A.gamma(n))
     )
+
+
+def test_factor_shape_extends_only_the_powers_of_its_tail_approximant(
+    monkeypatch,
+):
+    # X^3 * f reads powers of c in its Taylor rows; a foreign c at the same
+    # distance from x gets a list of its own, a tail c the type's
+    seen = []
+
+    def spy(f, c, powers=None, **kw):
+        seen.append(powers)
+        return taylor_coefficients(f, c, powers, **kw)
+
+    monkeypatch.setattr(reldeg, "taylor_coefficients", spy)
+    for p in (2, 3):
+        f = _law_polys(p)[2]
+        A = theta_type(p, precision=12)
+        rel_degree(A, f)
+        for n in A.tail()[-2:]:
+            c = A.approximants[n]
+            d = Series.monomial(p, -A.gamma(n))
+            held = [list(ps) for ps in A._powers]
+            assert len(held[n]) > 1
+            want = reduced_factor_shape(theta_type(p, precision=12), f, c, d)
+            foreign = c + Series.monomial(p, 5)
+            assert reduced_factor_shape(A, f, foreign, d) == want
+            assert seen.pop() is None
+            assert all(map(_same_list, A._powers, held))
+            assert reduced_factor_shape(A, f, c, d) == want
+            assert seen.pop() is A._powers[n]
+            for m, (ps, old) in enumerate(zip(A._powers, held)):
+                assert _same_list(ps[: len(old)] if m == n else ps, old)
+        # tail_factor_shape's c is the last tail approximant
+        tail_factor_shape(A, f)
+        assert seen.pop() is A._powers[A.tail()[-1]]
+
+
+def _same_list(a, b):
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
 
 def test_factor_shape_and_chi_never_call_invert(monkeypatch):
