@@ -87,8 +87,8 @@ class ApproxType:
     # there is none: no ground element cancels that term, so the distance
     # is attained there
     _attained: Optional[Cut] = field(init=False, repr=False, compare=False)
-    # [c_n, c_n^2, ...] per approximant, grown by the Taylor tables only
-    # as far as the rows they return read
+    # [c_n, c_n^2, ...] per approximant, read only by taylor_intercepts and
+    # grown by its tables only as far as the rows they return read
     _powers: tuple[list[Series], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -253,7 +253,7 @@ class ApproxType:
         ][-self.tail_depth:]
         # when every derivative value is fixed, the envelope route gives the
         # threshold past which the law holds: fit only the points past it
-        betas = self.taylor_intercepts(g)
+        betas, _ = self.taylor_intercepts(g)
         if betas is None:
             h, beta = fit_tail_law(pts)
         else:
@@ -266,23 +266,28 @@ class ApproxType:
                 )
         return NotFixed(h, beta)
 
-    def taylor_intercepts(self, g: ValPoly) -> Optional[list[GroupValue]]:
+    def taylor_intercepts(
+        self, g: ValPoly
+    ) -> tuple[Optional[list[GroupValue]], tuple[tuple[Series, ...], ...]]:
         """Stabilized values of the derivative evaluations g_i(c_n) on the
-        tail, i = 1..deg g, or None if some of them do not stabilize."""
-        tables = [
-            taylor_coefficients(g, self.approximants[n], self._powers[n], start=1)
+        tail, i = 1..deg g, or None if some of them do not stabilize; with
+        them the Taylor rows (g_1(c_n), ..., g_deg(c_n)) they read, one per
+        tail approximant."""
+        powers = self._powers
+        rows = tuple(
+            tuple(taylor_coefficients(g, self.approximants[n], powers[n], start=1))
             for n in self.tail()
-        ]
+        )
         betas: list[GroupValue] = []
         for i in range(1, g.degree() + 1):
             try:
-                beta = self._window_value([tab[i - 1].val() for tab in tables])
+                beta = self._window_value([row[i - 1].val() for row in rows])
             except IndeterminateValuation:
-                return None
+                return None, rows
             if beta is None:
-                return None
+                return None, rows
             betas.append(beta)
-        return betas
+        return betas, rows
 
     def kaplansky_extend(self, g: ValPoly) -> GroupValue:
         """The extension of v to g(x) for a transcendental type: the value

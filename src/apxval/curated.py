@@ -116,9 +116,10 @@ def trace_pulldown_scenario() -> TraceScenario:
     x_type = ApproxType.from_truncations(
         x, ground, distance_hint=Cut.strictly_below(0), transcendental=True
     )
-    # a conjugate rho(x) = chi(rho) * x is linear in x, so its approximation
-    # coefficient is its slope chi(rho) itself
-    coeffs = [Series.monomial(p, 0, chi(G, rho, G.s())) for rho in G.elements()]
+    # a conjugate rho(x) = chi(rho, x) * x is linear in x, so its
+    # approximation coefficient is its slope chi(rho, x) itself; x lies in
+    # the coset of s^(n-1), where chi(rho, x) = chi(rho, s)^(-1)
+    coeffs = [Series.monomial(p, 0, chi(G, rho, x)) for rho in G.elements()]
     proxies = [ValPoly(p, (Series.zero(p), k)) for k in coeffs]
     d = valuation_independence_witness(G, G.elements(), coeffs)
     tr = trace_generator(G, x, d)

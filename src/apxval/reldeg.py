@@ -11,10 +11,10 @@ intercept family) and treats any disagreement as an internal bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import (
     IndeterminateValuation,
@@ -26,13 +26,7 @@ from .errors import (
 )
 from .hahn import Series, _prime_to_p, dot, min_value, val_diff
 from .ordval import INF, Cut, GroupValue, scale_cut, shift_cut
-from .valpoly import (
-    ValPoly,
-    f_adic_expand,
-    formal_derivative,
-    power_sum,
-    taylor_coefficients,
-)
+from .valpoly import ValPoly, f_adic_expand, power_sum, taylor_coefficients
 from .apprtype import ApproxType, Fixed, pushed_forward
 from .envelope import AffineFamily, _ordered_argmin, envelope_law, fit_tail_law
 
@@ -48,6 +42,10 @@ class RelDegree:
     # the sampled route checked the law on; none when it found fewer than
     # two, and (h, beta) rests on the envelope alone
     points: tuple[tuple[GroupValue, GroupValue], ...]
+    # the envelope route's Taylor rows (f_1(c_n), ..., f_deg(c_n)), one per
+    # tail approximant: approx_coefficient reads row h, and
+    # tail_factor_shape the last approximant's row
+    rows: tuple[tuple[Series, ...], ...] = field(compare=False, repr=False)
 
     @property
     def sampled_points(self) -> int:
@@ -122,7 +120,7 @@ def rel_degree(A: ApproxType, f: ValPoly) -> RelDegree:
         raise PreconditionError("need a polynomial of degree >= 1")
     if A.is_trivial:
         raise PreconditionError("need an immediate approximation type")
-    betas = A.taylor_intercepts(f)
+    betas, rows = A.taylor_intercepts(f)
     if betas is None:
         raise MarkerViolation(
             "some derivative value is not fixed at this depth"
@@ -132,13 +130,13 @@ def rel_degree(A: ApproxType, f: ValPoly) -> RelDegree:
         h_s, beta_s, points = sampled_law(A, f, above=threshold)
     except InsufficientPrecision:
         # nothing to sample; the envelope answers alone
-        return RelDegree(h, beta, tuple(betas), threshold, ())
+        return RelDegree(h, beta, tuple(betas), threshold, (), rows)
     if (h_s, beta_s) != (h, beta):
         raise InternalInconsistency(
             f"envelope gives (h={h}, beta={beta}) but the sampled tail law "
             f"gives (h={h_s}, beta={beta_s})"
         )
-    return RelDegree(h, beta, tuple(betas), threshold, points)
+    return RelDegree(h, beta, tuple(betas), threshold, points, rows)
 
 
 def rel_degree_general(
@@ -218,17 +216,21 @@ def h_upper_bound_from_coeffs(f: ValPoly) -> int:
 def approx_coefficient(A: ApproxType, f: ValPoly) -> tuple[Series, RelDegree]:
     """A ground-field element d with vd = v(f_h(c)) and
     v(f_h(c) - d) > vd along the tail past the law's threshold; certified
-    before returning."""
+    before returning.
+
+    The samples f_h(c_n) are row h of the Taylor tables the envelope route
+    built (``RelDegree.rows``), so d is certified against that route; the
+    defining identity v(f(x) - f(c_n)) = v(d (x - c_n)^h) is checked on
+    the sampled route's points, so the two routes stay independent.  The
+    h-th intercept is the window value of v(f_h(c_n)), finite at the last
+    tail approximant, so the last sample is never zero."""
     rd = rel_degree(A, f)
-    fh = formal_derivative(f, rd.h)
     # the law, and so the coefficient, need not hold up to the threshold
-    tail = [n for n in A.tail() if A.gamma(n) > rd.threshold]
-    if not tail:
+    past = [row for n, row in zip(A.tail(), rd.rows) if A.gamma(n) > rd.threshold]
+    if not past:
         raise InsufficientPrecision("no tail point past the law's threshold")
-    samples = [fh(A.approximants[n]) for n in tail]
+    samples = [row[rd.h - 1] for row in past]
     last = samples[-1]
-    if last.is_exact_zero:
-        raise PreconditionError("h-th derivative vanishes on the tail")
     for k, (e, _) in enumerate(last.terms, 1):
         if not A.ground(e):
             break  # every longer truncation keeps this exponent
@@ -324,21 +326,24 @@ def reduced_factor_shape(
     A: ApproxType, f: ValPoly, c: Series, d: Series
 ) -> list[int]:
     """Coefficientwise residue of the rescaled difference polynomial; must
-    equal (Z - r)^h where r is the residue of d*(x - c)."""
-    return _factor_shape(A, f, c, d)[0]
+    equal (Z - r)^h where r is the residue of d*(x - c).  The Taylor rows
+    at c are built here, over powers of c of their own."""
+    rd = rel_degree(A, f)
+    return _factor_shape(A, f, rd, taylor_coefficients(f, c, start=1), c, d)[0]
 
 
 def _factor_shape(
-    A: ApproxType, f: ValPoly, c: Series, d: Series
+    A: ApproxType, f: ValPoly, rd: RelDegree, table: Sequence[Series],
+    c: Series, d: Series,
 ) -> tuple[list[int], int]:
-    """``reduced_factor_shape`` with the root r, read by the residue map,
-    a ring homomorphism, off values and leading coefficients.  Row i
-    rescales to a_i = f_i(c) d^(h - i) / f_h(c), of value
+    """``reduced_factor_shape`` with the root r, for f of law ``rd`` and
+    its Taylor rows ``table`` = (f_1(c), ..., f_deg(c)) at c, read by the
+    residue map, a ring homomorphism, off values and leading coefficients.
+    Row i rescales to a_i = f_i(c) d^(h - i) / f_h(c), of value
     w_i = v(f_i(c)) + (h - i) v(d) - v(f_h(c)): its residue is 0 past 0
     and lc(f_i(c)) lc(d)^(h - i) / lc(f_h(c)) at 0.  The root is
     r = res(d (x - c)) = lc(d) lc(x - c), and the constant term, the
     residue of -sum_i a_i (d (x - c))^i, is -sum_i res(a_i) r^i."""
-    rd = rel_degree(A, f)
     h = rd.h
     xc = A.target - c
     e = d.val()
@@ -349,11 +354,7 @@ def _factor_shape(
     # there says the type is too shallow, not that the routes disagree
     where = f"at v(x - c) = {-e} with the law's threshold {rd.threshold}"
     shallow = -e <= rd.threshold
-    # at a tail approximant the table extends the powers rel_degree's
-    # Taylor route keeps for it
-    powers = next((A._powers[n] for n in A.tail() if A.approximants[n] is c), None)
-    tab = taylor_coefficients(f, c, powers, start=1)
-    fh_c = tab[h - 1]
+    fh_c = table[h - 1]
     if fh_c.is_exact_zero:
         raise (InsufficientPrecision if shallow else PreconditionError)(
             f"h-th derivative vanishes {where}"
@@ -361,7 +362,7 @@ def _factor_shape(
     v_h, lc_h = _leading(fh_c, f"truncation hides f_{h}(c)")
     lc_d = d.leading()[1]
     residues = [0]
-    for i, f_i in enumerate(tab, 1):
+    for i, f_i in enumerate(table, 1):
         # a hidden f_i(c) is known to be no lower than its precision
         w = (h - i) * e - v_h + _value_or_precision(f_i)
         if w < 0:
@@ -394,10 +395,12 @@ def _leading(s: Series, hidden: str) -> tuple[Fraction, int]:
 
 def tail_factor_shape(A: ApproxType, f: ValPoly) -> tuple[list[int], int]:
     """``reduced_factor_shape`` at the last tail approximant c, scaled by
-    d = t^(-v(x - c)): the residues and the root r of (Z - r)^h."""
+    d = t^(-v(x - c)): the residues and the root r of (Z - r)^h, read off
+    the Taylor rows ``rel_degree`` built at c."""
+    rd = rel_degree(A, f)
     n = A.tail()[-1]
     return _factor_shape(
-        A, f, A.approximants[n], Series.monomial(f.p, -A.gamma(n))
+        A, f, rd, rd.rows[-1], A.approximants[n], Series.monomial(f.p, -A.gamma(n))
     )
 
 

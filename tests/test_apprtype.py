@@ -193,6 +193,8 @@ def test_fixes_value_linear_and_constant():
     # a constant whose value truncation hides is hidden at every point
     with pytest.raises(InsufficientPrecision, match=r"v\(g\(c_0\)\) is swallowed"):
         A.fixes_value(ValPoly(p, (Series.zero(p, Fraction(2)),)))
+    with pytest.raises(PreconditionError, match="zero polynomial has no value"):
+        A.fixes_value(ValPoly.zero(p))
 
 
 def test_not_fixed_law_exact_on_all_approximants():

@@ -680,8 +680,8 @@ def test_reldeg_internal_inconsistency_exit_code(capsys, tmp_path, monkeypatch):
     real = ApproxType.taylor_intercepts
 
     def shifted(self, g):
-        betas = real(self, g)
-        return betas[:-1] + [betas[-1] + 1]
+        betas, rows = real(self, g)
+        return betas[:-1] + [betas[-1] + 1], rows
 
     monkeypatch.setattr(ApproxType, "taylor_intercepts", shifted)
     path = _theta_type_file(tmp_path, 3)

@@ -57,6 +57,9 @@ def test_all_infinite_rejected():
     fam = AffineFamily.make([(1, INF, 1)], Cut.plus_infinity())
     with pytest.raises(PreconditionError):
         eventual_argmin(fam)
+    # nor is a family with no item at all
+    with pytest.raises(PreconditionError, match="empty affine family"):
+        AffineFamily.make([], Cut.plus_infinity())
 
 
 def test_duplicate_slopes_rejected():

@@ -131,6 +131,8 @@ def test_invert_requires_precision():
     a = Series.make(p, [(0, 1)], Fraction(2))
     with pytest.raises(InsufficientPrecision):
         invert(a, Fraction(5))
+    with pytest.raises(PreconditionError, match="cannot invert zero"):
+        invert(Series.zero(p), INF)
 
 
 def test_residue():
@@ -138,6 +140,10 @@ def test_residue():
     assert Series.make(p, [(0, 1), (1, 1)]).residue() == 1
     assert Series.monomial(p, Fraction(1, 2)).residue() == 0
     assert Series.make(p, [(0, 3), (2, 1)]).residue() == 3
+    with pytest.raises(PreconditionError, match="negative-value series"):
+        Series.monomial(p, -1).residue()
+    with pytest.raises(InsufficientPrecision, match="does not reach exponent 0"):
+        Series.zero(p, 0).residue()
 
 
 def test_truncate_to_subfield_theta_prefix():

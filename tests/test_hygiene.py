@@ -2,8 +2,9 @@
 module it imports is in the standard library, every private function
 or method is referenced somewhere in the library, every public one is
 read outside the tests or named in an allow-list, the product routes
-are chosen in one place, a precision trims sorted terms in one place, and
-the window rule of the law layer is read in one place."""
+are chosen in one place, a precision trims sorted terms in one place,
+the window rule of the law layer is read in one place, and the law layer
+builds one Taylor table per law."""
 
 import ast
 import sys
@@ -384,8 +385,8 @@ def test_attribute_read_check_flags_what_it_should():
     ]
 
 
-def exponent_bisections(source):
-    """(enclosing function, line) for each ``bisect_left`` call in
+def calls_of(source, callee):
+    """(enclosing function, line) for each call of ``callee`` in
     ``source``, by name or attribute; the enclosing function is the
     innermost one, None at module level."""
     out = []
@@ -398,7 +399,7 @@ def exponent_bisections(source):
             if isinstance(child, ast.Call):
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name == "bisect_left":
+                if name == callee:
                     out.append((caller, child.lineno))
             visit(child, caller)
 
@@ -411,7 +412,7 @@ def test_a_precision_trims_terms_only_in_below():
     callers = {
         caller
         for path in sorted(SRC.glob("*.py"))
-        for caller, _ in exponent_bisections(path.read_text())
+        for caller, _ in calls_of(path.read_text(), "bisect_left")
     }
     assert sorted(callers) == ["_below", "_coeff_at"]
 
@@ -427,8 +428,52 @@ def test_exponent_bisection_check_flags_what_it_should():
         "        return self.exps.index(cut)\n"
         "k = bisect_left(exps, 0)\n"
     )
-    assert exponent_bisections(source) == [
+    assert calls_of(source, "bisect_left") == [
         ("_below", 2), ("truncate", 5), (None, 8),
+    ]
+
+
+def test_one_taylor_table_per_law():
+    # the envelope route's tables are built in taylor_intercepts and handed
+    # on in RelDegree.rows; only a shape at an arbitrary c and the Taylor
+    # identity check build their own, and no law function forms a
+    # derivative polynomial or reads the type's power lists
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    tables = {
+        (name, caller)
+        for name, source in sources.items()
+        for caller, _ in calls_of(source, "taylor_coefficients")
+    }
+    assert tables == {
+        ("apprtype.py", "taylor_intercepts"),
+        ("reldeg.py", "reduced_factor_shape"),
+        ("valpoly.py", "taylor_check"),
+    }
+    for name in ("apprtype.py", "reldeg.py"):
+        assert calls_of(sources[name], "formal_derivative") == []
+    readers = {
+        caller
+        for source in sources.values()
+        for caller, _ in attribute_reads(source, "_powers")
+    }
+    assert readers == {"taylor_intercepts"}
+
+
+def test_call_check_flags_what_it_should():
+    source = (
+        "from .valpoly import taylor_coefficients\n"
+        "def taylor_intercepts(self, g):\n"
+        "    return [taylor_coefficients(g, c) for c in self.cs]\n"
+        "def shape(A, f, c):\n"
+        "    def rows():\n"
+        "        return valpoly.taylor_coefficients(f, c)\n"
+        "    table = taylor_coefficients\n"
+        "    return rows(), table(f, c), 'taylor_coefficients(f, c)'\n"
+        "first = taylor_coefficients(f, c)[0]\n"
+    )
+    # a call through another name and a mention in a string are not seen
+    assert calls_of(source, "taylor_coefficients") == [
+        ("taylor_intercepts", 3), ("rows", 6), (None, 9),
     ]
 
 

@@ -100,6 +100,8 @@ def test_rel_degree_general_constant():
     f = theta_minpoly(p)
     c = ValPoly(p, (Series.monomial(p, -4, 2),))
     assert rel_degree_general(A, c, f) == Fixed(Fraction(-4))
+    with pytest.raises(PreconditionError, match="zero polynomial has no value"):
+        rel_degree_general(A, ValPoly.zero(p), f)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -452,16 +454,16 @@ class _Tripwire:
     """Raises on any access: stands in for the Taylor route's powers."""
 
     def __getattr__(self, name):
-        raise AssertionError(f"the sampled route read _powers ({name})")
+        raise AssertionError(f"_powers was read ({name})")
 
     def __getitem__(self, key):
-        raise AssertionError("the sampled route read _powers")
+        raise AssertionError("_powers was read")
 
     def __iter__(self):
-        raise AssertionError("the sampled route read _powers")
+        raise AssertionError("_powers was read")
 
     def __len__(self):
-        raise AssertionError("the sampled route read _powers")
+        raise AssertionError("_powers was read")
 
 
 def _law_polys(p):
@@ -544,7 +546,7 @@ def test_taylor_route_never_calls_frobenius(monkeypatch):
         monkeypatch.setattr(Series, "frobenius", tripwire)
         A = theta_type(p, precision=12)
         for f, intercepts in zip(_law_polys(p), want):
-            assert intercepts is not None
+            assert intercepts[0] is not None
             assert A.taylor_intercepts(f) == intercepts
             for c in A.approximants:
                 taylor_coefficients(f, c)
@@ -572,6 +574,68 @@ def test_second_rel_degree_grows_no_power_list():
             assert cached() == before
 
 
+# --- the envelope route's Taylor rows ----------------------------------------
+
+
+def test_rows_are_the_taylor_tables_at_the_tail_approximants():
+    # exactly, precision included: one row tuple per tail approximant
+    cases = [(theta_type(p), theta_minpoly(p)) for p in (2, 3, 5)]
+    cases += [(theta_type(p, precision=12), f) for p in (2, 3) for f in _law_polys(p)]
+    cases += [(A, f) for A, f, _, _ in _shape_cases(99, 300)]
+    answered = 0
+    for A, f in cases:
+        rd = _outcome(rel_degree, A, f)
+        if not isinstance(rd, reldeg.RelDegree):
+            continue
+        answered += 1
+        assert len(rd.rows) == len(A.tail())
+        for n, row in zip(A.tail(), rd.rows):
+            assert row == tuple(taylor_coefficients(f, A.approximants[n], start=1))
+    assert answered > 100
+
+
+def test_approx_coefficient_and_tail_shape_read_rel_degrees_rows(monkeypatch):
+    # one Taylor table per tail approximant, all inside taylor_intercepts;
+    # no derivative polynomial and no Horner evaluation
+    import apxval.apprtype as apprtype
+    import apxval.valpoly as valpoly
+
+    real_tables = apprtype.taylor_coefficients
+    real_intercepts = ApproxType.taylor_intercepts
+    inside, tables = [], []
+
+    def intercepts(self, g):
+        inside.append(True)
+        try:
+            return real_intercepts(self, g)
+        finally:
+            inside.pop()
+
+    def counting(*args, **kwargs):
+        assert inside, "a Taylor table built outside taylor_intercepts"
+        tables.append(args[1])
+        return real_tables(*args, **kwargs)
+
+    def tripwire(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(ApproxType, "taylor_intercepts", intercepts)
+    monkeypatch.setattr(apprtype, "taylor_coefficients", counting)
+    monkeypatch.setattr(reldeg, "taylor_coefficients", tripwire)
+    for module in (valpoly, reldeg):
+        monkeypatch.setattr(module, "formal_derivative", tripwire, raising=False)
+    monkeypatch.setattr(ValPoly, "__call__", tripwire)
+    for p in (2, 3, 5):
+        cases = [(theta_type(p), theta_minpoly(p))]
+        if p < 5:
+            cases += [(theta_type(p, precision=12), f) for f in _law_polys(p)]
+        for A, f in cases:
+            for run in (approx_coefficient, tail_factor_shape):
+                tables.clear()
+                run(A, f)
+                assert tables == [A.approximants[n] for n in A.tail()]
+
+
 # --- failure branches of the two law routes ---------------------------------
 
 
@@ -581,8 +645,10 @@ def _shift_last_intercept(monkeypatch):
     real = ApproxType.taylor_intercepts
 
     def shifted(self, g):
-        betas = real(self, g)
-        return None if betas is None else betas[:-1] + [betas[-1] + 1]
+        betas, rows = real(self, g)
+        if betas is not None:
+            betas = betas[:-1] + [betas[-1] + 1]
+        return betas, rows
 
     monkeypatch.setattr(ApproxType, "taylor_intercepts", shifted)
 
@@ -707,7 +773,9 @@ def test_sampled_law_failure_shapes(shape, monkeypatch):
 def test_fixes_value_failure_shapes(shape, monkeypatch):
     # the stub has no coefficients, so no derivative value is fixed and
     # fixes_value fits the whole tail
-    monkeypatch.setattr(ApproxType, "taylor_intercepts", lambda self, g: None)
+    monkeypatch.setattr(
+        ApproxType, "taylor_intercepts", lambda self, g: (None, ())
+    )
     p = 3
     A = theta_type(p)
     # the target's value differs from every tail value, so a constant
@@ -800,7 +868,7 @@ def test_a_hidden_derivative_value_is_a_marker_violation():
     # at p = 2, f_1(c) = 2c + a_1 = a_1 = O(t^2): truncation hides it
     A = theta_type(2)
     g = parse_poly("X^2 + (O(t^2))*X", 2)
-    assert A.taylor_intercepts(g) is None
+    assert A.taylor_intercepts(g)[0] is None
     with pytest.raises(MarkerViolation, match="not fixed at this depth"):
         rel_degree(A, g)
 
@@ -895,15 +963,6 @@ def test_combine_same_degree_refusals():
         combine_same_degree(A, [f, f + X], [one, neg], [one, t])
 
 
-def test_approx_coefficient_refuses_a_vanishing_derivative(monkeypatch):
-    # rel_degree reads a finite h-th intercept on the window, so the exact
-    # zero comes only from a derivative that is not the polynomial's
-    p = 3
-    monkeypatch.setattr(reldeg, "formal_derivative", lambda f, i: ValPoly.zero(p))
-    with pytest.raises(PreconditionError, match="vanishes on the tail"):
-        approx_coefficient(theta_type(p), theta_minpoly(p))
-
-
 def test_approx_coefficient_drops_a_zero_binomial():
     # 3 * a_3 = 0 is an exact zero in the derivative f_1, as in the Taylor
     # row, whatever the precision of a_3
@@ -948,24 +1007,25 @@ def test_approx_coefficient_skips_a_sample_at_c_2_below_the_threshold():
 
 def test_approx_coefficient_refuses_a_sample_past_the_threshold(monkeypatch):
     # f_3 = 1 for the theta anchor, whose threshold is -1/2; a stand-in
-    # derivative of leading coefficient 2 at one tail point past it, the
+    # row f_3 of leading coefficient 2 at one tail point past it, the
     # first or the one before the last, fails certification
     p = 3
     A = theta_type(p)
     f = theta_minpoly(p)
     assert rel_degree(A, f).threshold == Fraction(-1, 2)
+    real = ApproxType.taylor_intercepts
 
-    def derivative_off_at(c_off):
-        def fh(c):
-            return Series.monomial(p, 0, 2 if c is c_off else 1)
+    def row_off_at(k):
+        def intercepts(self, g):
+            betas, rows = real(self, g)
+            off = rows[k][:2] + (Series.monomial(p, 0, 2),)
+            return betas, rows[:k] + (off,) + rows[k + 1:]
 
-        return lambda f, i: fh
+        return intercepts
 
-    for n in (A.tail()[0], A.tail()[-2]):
-        assert A.gamma(n) > Fraction(-1, 2)
-        monkeypatch.setattr(
-            reldeg, "formal_derivative", derivative_off_at(A.approximants[n])
-        )
+    for k in (0, len(A.tail()) - 2):
+        assert A.gamma(A.tail()[k]) > Fraction(-1, 2)
+        monkeypatch.setattr(ApproxType, "taylor_intercepts", row_off_at(k))
         with pytest.raises(InsufficientPrecision, match="no truncation"):
             approx_coefficient(A, f)
     monkeypatch.undo()
@@ -1076,6 +1136,12 @@ def _shape_cases(seed, count):
             count -= 1
 
 
+def _factor_shape_at(A, f, c, d):
+    """reldeg._factor_shape with the law of f and its Taylor rows at c."""
+    table = taylor_coefficients(f, c, start=1)
+    return reldeg._factor_shape(A, f, rel_degree(A, f), table, c, d)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -1088,7 +1154,7 @@ def test_factor_shape_matches_the_series_construction_randomized():
     tails = set()
     for A, f, c, d in _shape_cases(2024, 2000):
         want = _outcome(_series_factor_shape, A, f, c, d)
-        got = _outcome(reldeg._factor_shape, A, f, c, d)
+        got = _outcome(_factor_shape_at, A, f, c, d)
         if isinstance(want, tuple):
             assert got == want, (str(f), str(c), str(d))
             answered += 1
@@ -1109,43 +1175,30 @@ def _series_tail_shape(A, f):
     )
 
 
-def test_factor_shape_extends_only_the_powers_of_its_tail_approximant(
-    monkeypatch,
-):
-    # X^3 * f reads powers of c in its Taylor rows; a foreign c at the same
-    # distance from x gets a list of its own, a tail c the type's
-    seen = []
-
-    def spy(f, c, powers=None, **kw):
-        seen.append(powers)
-        return taylor_coefficients(f, c, powers, **kw)
-
-    monkeypatch.setattr(reldeg, "taylor_coefficients", spy)
+def test_factor_shape_never_reads_the_taylor_powers(monkeypatch):
+    # X^3 * f reads powers of c in its Taylor rows: the shape at any c
+    # builds its own, and the tail shape reads rel_degree's rows, so
+    # neither reads the type's list once the law is known
     for p in (2, 3):
         f = _law_polys(p)[2]
         A = theta_type(p, precision=12)
-        rel_degree(A, f)
-        for n in A.tail()[-2:]:
+        rd = rel_degree(A, f)
+        scales = [Series.monomial(p, -A.gamma(n)) for n in A.tail()]
+        want = [
+            reduced_factor_shape(A, f, A.approximants[n], d)
+            for n, d in zip(A.tail(), scales)
+        ]
+        tail = tail_factor_shape(A, f)
+        assert want[-1] == tail[0]
+        monkeypatch.setattr(reldeg, "rel_degree", lambda B, g: rd)
+        object.__setattr__(A, "_powers", _Tripwire())
+        for n, d, shape in zip(A.tail(), scales, want):
             c = A.approximants[n]
-            d = Series.monomial(p, -A.gamma(n))
-            held = [list(ps) for ps in A._powers]
-            assert len(held[n]) > 1
-            want = reduced_factor_shape(theta_type(p, precision=12), f, c, d)
+            assert reduced_factor_shape(A, f, c, d) == shape
             foreign = c + Series.monomial(p, 5)
-            assert reduced_factor_shape(A, f, foreign, d) == want
-            assert seen.pop() is None
-            assert all(map(_same_list, A._powers, held))
-            assert reduced_factor_shape(A, f, c, d) == want
-            assert seen.pop() is A._powers[n]
-            for m, (ps, old) in enumerate(zip(A._powers, held)):
-                assert _same_list(ps[: len(old)] if m == n else ps, old)
-        # tail_factor_shape's c is the last tail approximant
-        tail_factor_shape(A, f)
-        assert seen.pop() is A._powers[A.tail()[-1]]
-
-
-def _same_list(a, b):
-    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+            assert reduced_factor_shape(A, f, foreign, d) == shape
+        assert tail_factor_shape(A, f) == tail
+        monkeypatch.undo()
 
 
 def test_factor_shape_and_chi_never_call_invert(monkeypatch):
@@ -1159,7 +1212,7 @@ def test_factor_shape_and_chi_never_call_invert(monkeypatch):
     for module in (hahn, reldeg, tamegal):
         monkeypatch.setattr(module, "invert", tripwire, raising=False)
     for A, f, c, d in _shape_cases(5, 60):
-        _outcome(reldeg._factor_shape, A, f, c, d)
+        _outcome(_factor_shape_at, A, f, c, d)
     for p in (2, 3, 5):
         A = theta_type(p)
         assert tail_factor_shape(A, theta_minpoly(p))[1] == 1

@@ -104,6 +104,24 @@ def test_chi_examples():
     assert chi(G, G.element(1), a) == 1  # ground elements in the kernel
 
 
+@pytest.mark.parametrize("p, n", [(5, 4), (7, 3), (7, 6), (13, 4)])
+def test_chi_on_the_coset_of_s_to_the_n_minus_1_inverts_chi_of_s(p, n):
+    # the trace pull-down's x = sum t^(-1/(n p^i)) lies in this coset, so
+    # a conjugate's slope chi(rho, x) is chi(rho, s)^(-1), which differs
+    # from chi(rho, s) once n > 2
+    G = TameCyclic.make(p, n)
+    ys = [
+        Series.monomial(p, Fraction(n - 1, n), 2),
+        Series.monomial(p, Fraction(-1, n * p)),
+        Series.make(
+            p, [(Fraction(-1, n * p**i), 1) for i in range(1, 4)], Fraction(1)
+        ),
+    ]
+    for rho in G.elements():
+        inverse = pow(chi(G, rho, G.s()), -1, p)
+        assert [chi(G, rho, y) for y in ys] == [inverse] * len(ys)
+
+
 def _series_chi(G, sigma, d):
     """chi as the residue of the series sigma(d) * d^(-1), the inverse
     known to precision v(d) + 1."""
