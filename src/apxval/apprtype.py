@@ -114,10 +114,13 @@ class ApproxType:
             raise PreconditionError("a type needs at least one approximant")
         if self.tail_depth < 1:
             raise PreconditionError("the tail depth must be at least 1")
-        outside = _first_outside(self.approximants, self.ground)
+        # the target goes last, so an exponent it shares with an approximant
+        # is tested once, and its own first exponent outside the ground
+        # comes back only when every approximant lies in the ground
+        outside = _first_outside((*self.approximants, self.target), self.ground)
         gammas = []
         for n, c in enumerate(self.approximants):
-            if n == outside:
+            if outside is not None and n == outside[0]:
                 raise PreconditionError(
                     "approximant leaves the ground field"
                 )
@@ -128,8 +131,7 @@ class ApproxType:
                 )
             gammas.append(g)
         object.__setattr__(self, "_gammas", tuple(gammas))
-        e = next((e for e, _ in self.target.terms if not self.ground(e)), None)
-        attained = None if e is None else Cut.below_or_equal(e)
+        attained = None if outside is None else Cut.below_or_equal(outside[1])
         object.__setattr__(self, "_attained", attained)
         object.__setattr__(
             self, "_powers", tuple([] for _ in self.approximants)

@@ -718,9 +718,14 @@ def min_value(a: GroupValue, b: GroupValue) -> GroupValue:
     return min(a, b)
 
 
-def dot(xs: Sequence[Series], ys: Sequence[Series]) -> Series:
+def dot(
+    xs: Sequence[Series], ys: Sequence[Series], through: GroupValue = INF
+) -> Series:
     """sum_j xs[j] * ys[j] for nonempty ``xs``, equal to the left-to-right
-    sum of the products, precision included.
+    sum of the products, precision included, with exactly the terms of
+    exponent <= ``through``.  Where a product term lies past it, the
+    precision is the next point of the result's 1/den lattice,
+    (floor(through * den) + 1) / den: the full sum truncated there.
 
     One pass over the common denominator, cut at the least product
     precision, so no product or partial sum is built as a series: where
@@ -746,6 +751,11 @@ def dot(xs: Sequence[Series], ys: Sequence[Series]) -> Series:
     pairs = [
         (_rescaled(a, den), a.coeffs, _rescaled(b, den), b.coeffs) for a, b in pairs
     ]
+    if through is not INF and pairs:
+        cut = through.numerator * den // through.denominator + 1
+        top = max(ea[-1] + eb[-1] for ea, _, eb, _ in pairs)
+        if cut <= top and (cutoff is None or cut < cutoff):
+            cutoff, prec = cut, _fraction(cut, den)
     exps, coeffs = _convolve(pairs, cutoff, p)
     return _from_ints(p, den, exps, coeffs, prec)
 
@@ -842,14 +852,20 @@ def in_subfield(x: Series, pred: SubfieldPredicate) -> bool:
     return _first_outside((x,), pred) is None
 
 
-def _first_outside(xs: Sequence[Series], pred: SubfieldPredicate) -> int | None:
-    """The index of the first series in ``xs`` with an exponent ``pred``
-    refuses, or None.  Each exponent k over a denominator den is tested
-    once however many series hold it, as the prefixes of one series do."""
+def _first_outside(
+    xs: Sequence[Series], pred: SubfieldPredicate
+) -> tuple[int, Fraction] | None:
+    """(the index of the first series in ``xs`` with an exponent ``pred``
+    refuses, its least such exponent), or None.  Each exponent k over a
+    denominator den is tested once however many series hold it, as the
+    prefixes of one series do."""
     accepted = set()
     for i, x in enumerate(xs):
-        new = set(zip(x.exps, repeat(x.den))) - accepted
-        if not all(pred(_fraction(k, den)) for k, den in new):
-            return i
-        accepted |= new
+        den = x.den
+        for k in x.exps:
+            if (k, den) not in accepted:
+                e = _fraction(k, den)
+                if not pred(e):
+                    return i, e
+                accepted.add((k, den))
     return None

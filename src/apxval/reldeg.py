@@ -7,6 +7,10 @@ v(f(x) - f(c_n)) = beta + h * v(x - c_n) for a unique positive integer h
 and constant beta.  The module computes (h, beta) two independent ways
 (affine-law fit on sampled values, eventual argmin of the Taylor
 intercept family) and treats any disagreement as an internal bug.
+``rel_degree`` hands the envelope's law to the sampled route only to stop
+each power sum at the value it looks for: every term past it is dropped
+unsummed, and a sum that misses is redone in full, so the sampled values
+never depend on the envelope.
 """
 
 from __future__ import annotations
@@ -60,18 +64,44 @@ class NotFixedLaw:
 
 
 def _tail_values(
-    A: ApproxType, f: ValPoly, above: Optional[GroupValue] = None
+    A: ApproxType, f: ValPoly, above: Optional[GroupValue] = None,
+    law: Optional[tuple[int, GroupValue]] = None,
 ) -> list[tuple[GroupValue, GroupValue]]:
     """The finite, determinate points (gamma_n, v(f(x) - f(c_n))) of the
     tail with gamma_n past ``above``, every value a power sum over the
-    type's sampled powers."""
+    type's sampled powers.
+
+    A predicted ``law`` (h, beta) only says where each sum may stop, never
+    what a value is.  f(x) and the deepest point are summed through
+    beta + h * gamma_deep; walking the tail deepest-first, each shallower
+    point is summed through the value just found one point deeper, as past
+    the law's threshold the values strictly increase along the tail.  A
+    cut sum is the full one truncated, so a value it shows is the full
+    sum's value.  A miss (a difference that the cut or a precision hides,
+    or an infinite value) reruns the full loop, so the points returned
+    never depend on ``law``: a wrong law costs one full pass."""
     powers = A._sampled_powers
+    tail = [(n, A.gamma(n)) for n in A.tail()]
+    if above is not None:
+        tail = [(n, g) for n, g in tail if g > above]
+    if law is not None and tail:
+        through = law[1] + law[0] * tail[-1][1]
+        fx = power_sum(f, A.target, powers[-1], through=through)
+        pts = []
+        for n, g in reversed(tail):
+            cn = power_sum(f, A.approximants[n], powers[n], through=through)
+            try:
+                through = val_diff(fx, cn)
+            except IndeterminateValuation:
+                break
+            if through is INF:
+                break
+            pts.append((g, through))
+        else:
+            return pts[::-1]
     fx = power_sum(f, A.target, powers[-1])
     pts = []
-    for n in A.tail():
-        g = A.gamma(n)
-        if above is not None and not g > above:
-            continue
+    for n, g in tail:
         try:
             w = val_diff(fx, power_sum(f, A.approximants[n], powers[n]))
         except IndeterminateValuation:
@@ -95,16 +125,19 @@ def _check_tail_law(points, h: int, beta: GroupValue, message: str):
 
 
 def sampled_law(
-    A: ApproxType, f: ValPoly, above: Optional[GroupValue] = None
+    A: ApproxType, f: ValPoly, above: Optional[GroupValue] = None,
+    law: Optional[tuple[int, GroupValue]] = None,
 ) -> tuple[int, GroupValue, tuple[tuple[GroupValue, GroupValue], ...]]:
     """Fit v(f(x) - f(c_n)) = beta + h * gamma_n exactly on the tail:
     (h, beta, the tail points (gamma_n, v(f(x) - f(c_n))) fitted).
 
     The affine law only holds once gamma_n has passed every crossing of the
     derivative-value family; callers that know that threshold pass it as
-    ``above`` so the fit is restricted to the stable region.
+    ``above`` so the fit is restricted to the stable region.  A predicted
+    ``law`` only lets the sums stop early (``_tail_values``): the points,
+    and so the fit, are the same without it.
     """
-    pts = _tail_values(A, f, above)
+    pts = _tail_values(A, f, above, law)
     if len(pts) < 2:
         raise InsufficientPrecision("too few determinate tail values")
     try:
@@ -115,7 +148,14 @@ def sampled_law(
 
 
 def rel_degree(A: ApproxType, f: ValPoly) -> RelDegree:
-    """h and beta with v(f(x) - f(c)) = beta + h * v(x - c) eventually."""
+    """h and beta with v(f(x) - f(c)) = beta + h * v(x - c) eventually.
+
+    The envelope of the Taylor intercepts gives (h, beta) and the threshold;
+    the sampled route fits the tail points past it and must agree.  The
+    sampled route is handed the envelope's law only to stop its sums at
+    the values it looks for: its points are the ones it finds without the
+    law, so a wrong envelope law costs one full pass and is still reported
+    as InternalInconsistency."""
     if f.is_zero or f.degree() < 1:
         raise PreconditionError("need a polynomial of degree >= 1")
     if A.is_trivial:
@@ -127,7 +167,7 @@ def rel_degree(A: ApproxType, f: ValPoly) -> RelDegree:
         )
     h, beta, threshold = envelope_law(betas, A.distance())
     try:
-        h_s, beta_s, points = sampled_law(A, f, above=threshold)
+        h_s, beta_s, points = sampled_law(A, f, above=threshold, law=(h, beta))
     except InsufficientPrecision:
         # nothing to sample; the envelope answers alone
         return RelDegree(h, beta, tuple(betas), threshold, (), rows)

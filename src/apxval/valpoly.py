@@ -38,7 +38,7 @@ from math import comb, gcd
 
 from .errors import PreconditionError
 from .hahn import Series, dot
-from .ordval import GroupValue
+from .ordval import INF, GroupValue
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,14 @@ def formal_derivative(f: ValPoly, i: int) -> ValPoly:
     )
 
 
-def power_sum(f: ValPoly, x: Series, powers: dict[int, Series]) -> Series:
-    """f(x) as the sum a_0 + sum_{j>=1} a_j x^j over the powers of x.
+def power_sum(
+    f: ValPoly, x: Series, powers: dict[int, Series], through: GroupValue = INF
+) -> Series:
+    """f(x) as the sum a_0 + sum_{j>=1} a_j x^j over the powers of x, with
+    exactly the terms of exponent <= ``through``: where that drops a term,
+    the precision is the next point of the sum's exponent lattice
+    (``hahn.dot``'s cut).  The powers are always whole, so ``powers``
+    holds the same series whatever ``through`` is.
 
     ``powers`` is a caller-owned dict {k: x^k} of powers of this same x.
     It gains x^k only where a_k is not an exact zero, together with the
@@ -149,7 +155,7 @@ def power_sum(f: ValPoly, x: Series, powers: dict[int, Series]) -> Series:
         if not a.is_exact_zero:
             xs.append(a)
             ys.append(_power(x, k, powers) if k else Series.one(f.p))
-    return dot(xs, ys) if xs else Series.zero(f.p)
+    return dot(xs, ys, through=through) if xs else Series.zero(f.p)
 
 
 def _power(x: Series, k: int, powers: dict[int, Series]) -> Series:

@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -165,6 +166,13 @@ def test_truncate_to_subfield_edges():
     assert truncate_to_subfield(x, pred, x.val()).is_exact_zero
     with pytest.raises(NotRepresentable):
         truncate_to_subfield(x, pred, Fraction(1))
+    # a truncated series has no exact truncation, nor one past its precision
+    y = Series.make(p, [(0, 1)], Fraction(2))
+    assert truncate_to_subfield(y, pred, Fraction(2)) == Series.one(p)
+    with pytest.raises(InsufficientPrecision, match="exact truncation"):
+        truncate_to_subfield(y, pred, INF)
+    with pytest.raises(InsufficientPrecision, match="alpha 3 beyond precision 2"):
+        truncate_to_subfield(y, pred, Fraction(3))
 
 
 def test_subfield_predicates_compare_by_name():
@@ -368,27 +376,34 @@ def test_mul_precision_matches_fraction_formula_randomized():
         assert b._mul_precision(a) == got
 
 
+def dot_operands(rng, p):
+    """1 to 6 pairs over mixed denominators: zeros, exact or truncated,
+    one-term operands and differential operands."""
+    xs, ys = [], []
+    for _ in range(rng.randint(1, 6)):
+        pair = []
+        for _ in range(2):
+            kind = rng.randrange(6)
+            if kind == 0:
+                pair.append(Series.zero(p))
+            elif kind == 1:
+                pair.append(Series.zero(p, Fraction(rng.randint(-30, 30), 7)))
+            elif kind == 2:
+                pair.append(one_term_operand(rng, p, rng.choice(DEN_CHOICES)))
+            else:
+                pair.append(differential_operand(rng, p))
+        xs.append(pair[0])
+        ys.append(pair[1])
+    return xs, ys
+
+
 def test_dot_equals_the_sum_of_products_randomized():
     # the left-to-right sum of the products is the reference: equal terms
     # and equal precision, over mixed denominators and one-term operands
     rng = random.Random(1618)
     for trial in range(3000):
         p = rng.choice([2, 3, 5])
-        xs, ys = [], []
-        for _ in range(rng.randint(1, 6)):
-            pair = []
-            for _ in range(2):
-                kind = rng.randrange(6)
-                if kind == 0:
-                    pair.append(Series.zero(p))
-                elif kind == 1:
-                    pair.append(Series.zero(p, Fraction(rng.randint(-30, 30), 7)))
-                elif kind == 2:
-                    pair.append(one_term_operand(rng, p, rng.choice(DEN_CHOICES)))
-                else:
-                    pair.append(differential_operand(rng, p))
-            xs.append(pair[0])
-            ys.append(pair[1])
+        xs, ys = dot_operands(rng, p)
         want = xs[0] * ys[0]
         for a, b in zip(xs[1:], ys[1:]):
             want = want + a * b
@@ -397,6 +412,29 @@ def test_dot_equals_the_sum_of_products_randomized():
         assert_series_invariants(got)
     with pytest.raises(PreconditionError, match="mixed primes"):
         dot([Series.one(2)], [Series.one(3)])
+
+
+def test_dot_through_is_the_full_sum_truncated_randomized():
+    # exactly the terms of exponent <= through; where a product term lies
+    # past it, the precision is the next point of the 1/den lattice of
+    # the operands with terms, else the full sum's
+    rng = random.Random(2718)
+    for trial in range(3000):
+        p = rng.choice([2, 3, 5])
+        xs, ys = dot_operands(rng, p)
+        through = Fraction(rng.randint(-60, 60), rng.choice([1, 2, 3, 5, 12]))
+        full = dot(xs, ys)
+        got = dot(xs, ys, through=through)
+        pairs = [(a, b) for a, b in zip(xs, ys) if a.exps and b.exps]
+        den = math.lcm(*(s.den for pair in pairs for s in pair))
+        step = Fraction(math.floor(through * den) + 1, den)
+        tops = [a.terms[-1][0] + b.terms[-1][0] for a, b in pairs]
+        want = full.truncate(step) if any(e > through for e in tops) else full
+        assert got == want, (xs, ys, through)
+        # so every value <= through that the full sum shows, it shows
+        assert got.terms == tuple(t for t in full.terms if t[0] <= through)
+        assert got.precision > through or got.precision == full.precision
+        assert_series_invariants(got)
 
 
 def frobenius_operand(rng, p):

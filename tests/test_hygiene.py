@@ -3,8 +3,9 @@ module it imports is in the standard library, every private function
 or method is referenced somewhere in the library, every public one is
 read outside the tests or named in an allow-list, the product routes
 are chosen in one place, a precision trims sorted terms in one place,
-the window rule of the law layer is read in one place, and the law layer
-builds one Taylor table per law."""
+the window rule of the law layer is read in one place, the law layer
+builds one Taylor table per law, and only the sampled route cuts its sums
+at a predicted law."""
 
 import ast
 import sys
@@ -385,11 +386,19 @@ def test_attribute_read_check_flags_what_it_should():
     ]
 
 
-def calls_of(source, callee):
+def calls_of(source, callee, passing=None):
     """(enclosing function, line) for each call of ``callee`` in
     ``source``, by name or attribute; the enclosing function is the
-    innermost one, None at module level."""
+    innermost one, None at module level.  With ``passing`` a pair
+    (parameter name, positional index), only the calls that pass that
+    parameter, by keyword or at that position."""
     out = []
+
+    def passes(call):
+        if passing is None:
+            return True
+        name, index = passing
+        return len(call.args) > index or any(k.arg == name for k in call.keywords)
 
     def visit(node, caller):
         for child in ast.iter_child_nodes(node):
@@ -399,7 +408,7 @@ def calls_of(source, callee):
             if isinstance(child, ast.Call):
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name == callee:
+                if name == callee and passes(child):
                     out.append((caller, child.lineno))
             visit(child, caller)
 
@@ -474,6 +483,52 @@ def test_call_check_flags_what_it_should():
     # a call through another name and a mention in a string are not seen
     assert calls_of(source, "taylor_coefficients") == [
         ("taylor_intercepts", 3), ("rows", 6), (None, 9),
+    ]
+
+
+# (callee, parameter, positional index): the parameters that let the
+# sampled route stop its sums at the values it looks for
+LAW_CUTS = (
+    ("power_sum", "through", 3),
+    ("dot", "through", 2),
+    ("sampled_law", "law", 3),
+    ("_tail_values", "law", 3),
+)
+
+
+def test_only_the_sampled_route_cuts_its_sums():
+    # rel_degree alone hands the envelope's law to the sampled route and
+    # _tail_values alone cuts a power sum by it; sampled_law and power_sum
+    # only pass it on.  Every other sum (the push-forward, ValPoly.__call__,
+    # the fixed-value verdict) stays whole
+    found = {
+        (callee, caller)
+        for path in sorted(SRC.glob("*.py"))
+        for callee, name, index in LAW_CUTS
+        for caller, _ in calls_of(path.read_text(), callee, (name, index))
+    }
+    assert found == {
+        ("sampled_law", "rel_degree"),
+        ("_tail_values", "sampled_law"),
+        ("power_sum", "_tail_values"),
+        ("dot", "power_sum"),
+    }
+
+
+def test_passing_check_flags_what_it_should():
+    source = (
+        "def _tail_values(A, f, above=None, law=None):\n"
+        "    a = power_sum(f, x, {}, through=w)\n"
+        "    b = valpoly.power_sum(f, x, {}, w)\n"
+        "    return power_sum(f, x, {}), power_sum(f, x, powers=p)\n"
+        "def pushed_forward(A, f):\n"
+        "    kw = {'through': 0}\n"
+        "    return power_sum(f, x, {}, **kw), power_sum(*args)\n"
+        "c = power_sum(f, x, {}, None, through=0)\n"
+    )
+    # a splat hides what it passes
+    assert calls_of(source, "power_sum", ("through", 3)) == [
+        ("_tail_values", 2), ("_tail_values", 3), (None, 8),
     ]
 
 

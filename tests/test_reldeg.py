@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -18,6 +19,7 @@ from apxval.hahn import Series, invert, p_power_denominators
 from apxval.ordval import INF, Cut, scale_cut, shift_cut
 from apxval.parsing import parse_poly
 from apxval.valpoly import ValPoly, formal_derivative, taylor_coefficients
+from apxval.valpoly import power_sum as valpoly_power_sum
 from apxval.apprtype import ApproxType, Fixed
 from apxval.curated import (
     generic_immediate_type,
@@ -826,10 +828,16 @@ def test_rel_degree_general_refuses_a_digit_the_type_does_not_fix():
         rel_degree_general(A, g, theta_minpoly(p))
 
 
-def test_rel_degree_general_skips_a_hidden_value_of_g():
+def test_rel_degree_general_skips_a_hidden_value_of_g(monkeypatch):
     # g = f + t has the digits t and 1, so m = 1; a tail approximant known
     # only below t^0 hides g(c) = -t^(-1/64) + t behind O(t^(-1/2)), and
-    # the law is checked on the other tail points
+    # the law is checked on the other tail points, the deeper one included
+    checked = []
+    real = reldeg._check_tail_law
+    monkeypatch.setattr(
+        reldeg, "_check_tail_law",
+        lambda pts, *rest: checked.append(pts) or real(pts, *rest),
+    )
     p = 2
     A = theta_type(p)
     f = theta_minpoly(p)
@@ -840,6 +848,8 @@ def test_rel_degree_general_skips_a_hidden_value_of_g():
     g = f + ValPoly.make(p, [Series.monomial(p, 1)])
     assert not g(A.approximants[n]).terms
     assert rel_degree_general(A, g, f) == NotFixedLaw(1, p, 0)
+    gammas = [gamma for gamma, _ in checked[-1]]
+    assert A.gamma(n) not in gammas and A.gamma(A.tail()[-1]) in gammas
 
 
 def test_certify_coefficient_matches_the_formed_difference():
@@ -1291,3 +1301,157 @@ def test_a_failing_shape_past_the_threshold_is_a_route_disagreement(monkeypatch)
         reduced_factor_shape(A, f, A.approximants[0], d)
     with pytest.raises(InternalInconsistency, match="not \\(Z - 1\\)\\^2"):
         tail_factor_shape(A, f)
+
+
+# --- the sampled route's sums stop at the values they look for ---------------
+
+
+def _criterion5_inputs(seed, count):
+    """(type, f) pairs drawn as criterion 5 draws them, degree <= 8: random
+    monomial polynomials, the minimal polynomial scaled and perturbed, and
+    its multiples, over theta at p = 2, 3 (precision 12) and the value-0
+    type A0; a tenth of the coefficients are truncated."""
+    rng = random.Random(seed)
+    thetas = {p: theta_type(p, precision=12) for p in (2, 3)}
+    A0 = generic_immediate_type(
+        3, [Fraction(0)] + [1 - Fraction(1, 3**i) for i in range(2, 9)],
+        precision=6, boundary=Fraction(1),
+    )
+
+    def coeff(p):
+        if rng.random() < 0.3:
+            return Series.zero(p)
+        e = Fraction(rng.randint(-4, 4), p ** rng.randint(0, 2))
+        c = Series.monomial(p, e, rng.randint(1, p - 1))
+        # now and then a coefficient known only up to a precision, which
+        # hides some tail values
+        if rng.random() < 0.1:
+            c = c + Series.zero(p, e + Fraction(rng.randint(1, 4), p))
+        return c
+
+    def poly(p, max_deg):
+        cs = [coeff(p) for _ in range(rng.randint(1, max_deg) + 1)]
+        return ValPoly.make(p, cs[:-1] + [Series.one(p)])
+
+    out = []
+    while len(out) < count:
+        kind = len(out) % 4
+        p = 3 if kind == 3 else rng.choice([2, 3])
+        A = A0 if kind == 3 else thetas[p]
+        if kind == 0:
+            f = poly(p, 8)
+        elif kind == 1:
+            f = theta_minpoly(p).scale(coeff(p) + Series.one(p)) + poly(p, p - 1)
+        elif kind == 2:
+            f = theta_minpoly(p) * poly(p, 3)
+        else:
+            f = poly(p, 8)
+        if not f.is_zero and f.degree() >= 1:
+            out.append((A, f))
+    return out
+
+
+def _lattice_step(A, f):
+    """1/D for D the common exponent denominator of every full sum the
+    sampled route reads: one step of the lattice its values lie on."""
+    sums = [valpoly_power_sum(f, s, {}) for s in (A.target, *A.approximants)]
+    return Fraction(1, math.lcm(*(s.den for s in sums)))
+
+
+def _laws_to_try(h, beta, step):
+    """The envelope's law, h one up and down (while >= 1), beta one
+    lattice step up and down, and no law."""
+    laws = [(h, beta), (h + 1, beta), (h, beta + step), (h, beta - step), None]
+    return laws + ([(h - 1, beta)] if h > 1 else [])
+
+
+class _SumSpy:
+    """Counts the sampled route's sums that run in full (no ``through``)
+    while a law is in hand: each one is a fallback to the full loop."""
+
+    def __init__(self, monkeypatch):
+        self.real, self.full, self.cut = reldeg.power_sum, 0, 0
+        monkeypatch.setattr(reldeg, "power_sum", self)
+
+    def __call__(self, f, x, powers, through=INF):
+        if through is INF:
+            self.full += 1
+        else:
+            self.cut += 1
+        return self.real(f, x, powers, through)
+
+
+def test_tail_values_do_not_depend_on_the_law_randomized(monkeypatch):
+    # criterion-5 inputs: the points are identical with the true law, with
+    # wrong ones and with none, past the threshold and over the whole tail
+    spy = _SumSpy(monkeypatch)
+    cases = hidden = fallbacks = 0
+    for A, f in _criterion5_inputs(2727, 48):
+        betas, _ = A.taylor_intercepts(f)
+        if betas is None:
+            continue
+        h, beta, threshold = envelope_law(betas, A.distance())
+        step = _lattice_step(A, f)
+        for above in (threshold, None):
+            want = reldeg._tail_values(A, f, above)
+            tail = [n for n in A.tail() if above is None or A.gamma(n) > above]
+            hidden += len(want) < len(tail)
+            for law in _laws_to_try(h, beta, step):
+                spy.full = 0
+                assert reldeg._tail_values(A, f, above, law) == want, (f, law)
+                fallbacks += law is not None and spy.full > 0
+                cases += 1
+    # the wrong laws reach the full loop, and some inputs hide a value
+    assert cases > 300 and fallbacks > 20 and hidden > 0
+
+
+def test_tail_values_with_a_law_skip_hidden_values_and_an_infinite_gamma():
+    p = 2
+    f = theta_minpoly(p)
+    # a tail approximant known only below t^0 hides f(c_n) - f(x)
+    A = theta_type(p)
+    n = A.tail()[-2]
+    approximants = list(A.approximants)
+    approximants[n] = approximants[n].truncate(0)
+    hidden = replace(A, approximants=tuple(approximants))
+    # a coefficient known only below t^(-1) hides every value above it
+    g = f + parse_poly("(O(t^(-1)))*X", p)
+    # the last approximant is the target itself: gamma is infinite
+    x = Series.make(p, [(-2, 1), (-1, 1)])
+    trivial = ApproxType(x, p_power_denominators(p), (Series.zero(p), x.prefix(1), x))
+    assert trivial.gammas()[-1] is INF
+    for B, F in ((hidden, f), (A, g), (trivial, f)):
+        want = reldeg._tail_values(B, F)
+        assert len(want) < len(B.tail())
+        for law in _laws_to_try(p, Fraction(0), Fraction(1, 64)):
+            assert reldeg._tail_values(B, F, None, law) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rel_degree_on_the_anchors_never_falls_back(p, monkeypatch):
+    # every sum of the sampled route stops at the value it looks for
+    spy = _SumSpy(monkeypatch)
+    A = theta_type(p)
+    rd = rel_degree(A, theta_minpoly(p))
+    assert (rd.h, rd.beta, spy.full) == (p, 0, 0)
+    assert spy.cut == rd.sampled_points + 1
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_a_shifted_envelope_law_is_still_a_route_disagreement(shift, monkeypatch):
+    # the law only says where the sums may stop: shifted down, the deepest
+    # value is hidden and the route runs in full; either way the sampled
+    # points follow the true law and the routes disagree
+    p = 3
+    A = theta_type(p)
+    real = reldeg.envelope_law
+
+    def shifted(betas, dist):
+        h, beta, threshold = real(betas, dist)
+        return h, beta + Fraction(shift, 27), threshold
+
+    monkeypatch.setattr(reldeg, "envelope_law", shifted)
+    spy = _SumSpy(monkeypatch)
+    with pytest.raises(InternalInconsistency, match="envelope gives"):
+        rel_degree(A, theta_minpoly(p))
+    assert (spy.full > 0) == (shift < 0)

@@ -257,6 +257,21 @@ def test_witness_refuses_mixed_primes():
         valuation_independence_witness(G, [G.element(0)], [Series.one(5)])
 
 
+def test_witness_refuses_bad_arguments():
+    G = TameCyclic.make(3, 2)
+    one = Series.one(3)
+    with pytest.raises(PreconditionError, match="matching nonempty sigma/d"):
+        valuation_independence_witness(G, [], [])
+    with pytest.raises(PreconditionError, match="matching nonempty sigma/d"):
+        valuation_independence_witness(G, G.elements(), [one])
+    with pytest.raises(PreconditionError, match="pairwise distinct"):
+        valuation_independence_witness(G, [G.element(1)] * 2, [one, one])
+    # a d_i of positive value, and the zero series, whose value is infinite
+    for d in (Series.monomial(3, Fraction(1, 2)), Series.zero(3)):
+        with pytest.raises(PreconditionError, match="every d_i must have value 0"):
+            valuation_independence_witness(G, G.elements(), [one, d])
+
+
 def test_standard_basis_decompose_example():
     G = TameCyclic.make(3, 2)
     a = G.s() + Series.monomial(3, 1)

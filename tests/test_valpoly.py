@@ -380,6 +380,26 @@ def test_power_sum_equals_horner_randomized():
     assert ValPoly.zero(3)(Series.monomial(3, 1)) == Series.zero(3)
 
 
+def test_power_sum_through_keeps_the_terms_and_the_powers_randomized():
+    # a sum cut at ``through`` has the full sum's terms up to it, shows
+    # every value up to it that the full sum shows, and enters the same
+    # whole powers in its dict
+    rng = random.Random(2729)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        make = truncated_series if rng.random() < 0.7 else random_series
+        x = make(rng, p)
+        deg = rng.randint(1, 9)
+        f = ValPoly(p, tuple([make(rng, p) for _ in range(deg)] + [Series.one(p)]))
+        through = Fraction(rng.randint(-24, 24), rng.choice([1, 2, 3, 4]))
+        full_powers, cut_powers = {}, {}
+        full = power_sum(f, x, full_powers)
+        cut = power_sum(f, x, cut_powers, through=through)
+        assert cut.terms == tuple(t for t in full.terms if t[0] <= through)
+        assert cut.precision > through or cut.precision == full.precision
+        assert cut_powers == full_powers
+
+
 def sparse_poly(rng, p, deg):
     """Degree ``deg`` with many exact-zero and truncated-zero coefficients
     below the monic top."""
