@@ -9,8 +9,8 @@ and constant beta.  The module computes (h, beta) two independent ways
 intercept family) and treats any disagreement as an internal bug.
 ``rel_degree`` hands the envelope's law to the sampled route only to stop
 each power sum at the value it looks for: every term past it is dropped
-unsummed, and a sum that misses is redone in full, so the sampled values
-never depend on the envelope.
+unsummed.  A miss costs one full sum of that point, and f(x) once, so the
+sampled values never depend on the envelope.
 """
 
 from __future__ import annotations
@@ -68,50 +68,47 @@ def _tail_values(
     law: Optional[tuple[int, GroupValue]] = None,
 ) -> list[tuple[GroupValue, GroupValue]]:
     """The finite, determinate points (gamma_n, v(f(x) - f(c_n))) of the
-    tail with gamma_n past ``above``, every value a power sum over the
-    type's sampled powers.
+    tail with gamma_n past ``above``, shallow-first, every value a power
+    sum over the type's sampled powers.
 
-    A predicted ``law`` (h, beta) only says where each sum may stop, never
-    what a value is.  f(x) and the deepest point are summed through
-    beta + h * gamma_deep; walking the tail deepest-first, each shallower
-    point is summed through the value just found one point deeper, as past
-    the law's threshold the values strictly increase along the tail.  A
-    cut sum is the full one truncated, so a value it shows is the full
-    sum's value.  A miss (a difference that the cut or a precision hides,
-    or an infinite value) reruns the full loop, so the points returned
-    never depend on ``law``: a wrong law costs one full pass."""
+    One walk, deepest-first.  f(x) and the deepest point are summed
+    through beta + h * gamma_deep for a predicted ``law`` (h, beta), and
+    in full without one; each shallower point is summed through the value
+    just found one point deeper, as past the law's threshold the values
+    strictly increase along the tail.  A cut sum is the full one
+    truncated, so a value it shows is the full sum's value, and an
+    infinite value is never a cut one.  A miss (a difference that a cut
+    sum hides) costs one full sum of that point, and f(x) in full once,
+    kept from then on; a point whose full sums hide the difference, or
+    whose value is infinite, is skipped.  So a law only says where each
+    sum may stop, and the points never depend on it."""
     powers = A._sampled_powers
     tail = [(n, A.gamma(n)) for n in A.tail()]
     if above is not None:
         tail = [(n, g) for n, g in tail if g > above]
-    if law is not None and tail:
-        through = law[1] + law[0] * tail[-1][1]
-        fx = power_sum(f, A.target, powers[-1], through=through)
-        pts = []
-        for n, g in reversed(tail):
-            cn = power_sum(f, A.approximants[n], powers[n], through=through)
-            try:
-                through = val_diff(fx, cn)
-            except IndeterminateValuation:
-                break
-            if through is INF:
-                break
-            pts.append((g, through))
-        else:
-            return pts[::-1]
-    fx = power_sum(f, A.target, powers[-1])
+    through = law[1] + law[0] * tail[-1][1] if law and tail else INF
+    fx_cut = through is not INF
+    fx = power_sum(f, A.target, powers[-1], through=through)
     pts = []
-    for n, g in tail:
+    for n, g in reversed(tail):
+        c = A.approximants[n]
         try:
-            w = val_diff(fx, power_sum(f, A.approximants[n], powers[n]))
+            try:
+                w = val_diff(fx, power_sum(f, c, powers[n], through=through))
+            except IndeterminateValuation:
+                if through is INF:
+                    raise  # both sums are full: the difference is hidden
+                if fx_cut:
+                    fx, fx_cut = power_sum(f, A.target, powers[-1]), False
+                w = val_diff(fx, power_sum(f, c, powers[n]))
         except IndeterminateValuation:
             continue
         # an infinite gamma_n makes c_n the target itself, so its value is
         # infinite or hidden and the point is dropped with the others
-        if w is INF:
-            continue
-        pts.append((g, w))
-    return pts
+        if w is not INF:
+            pts.append((g, w))
+            through = w
+    return pts[::-1]
 
 
 def _check_tail_law(points, h: int, beta: GroupValue, message: str):
@@ -135,7 +132,8 @@ def sampled_law(
     derivative-value family; callers that know that threshold pass it as
     ``above`` so the fit is restricted to the stable region.  A predicted
     ``law`` only lets the sums stop early (``_tail_values``): the points,
-    and so the fit, are the same without it.
+    and so the fit, are the same without it, and a miss costs one full
+    sum of that point, and f(x) once.
     """
     pts = _tail_values(A, f, above, law)
     if len(pts) < 2:
@@ -154,8 +152,8 @@ def rel_degree(A: ApproxType, f: ValPoly) -> RelDegree:
     the sampled route fits the tail points past it and must agree.  The
     sampled route is handed the envelope's law only to stop its sums at
     the values it looks for: its points are the ones it finds without the
-    law, so a wrong envelope law costs one full pass and is still reported
-    as InternalInconsistency."""
+    law.  An envelope law too low costs one full sum of the deepest point,
+    and f(x) once; a wrong one is still reported as InternalInconsistency."""
     if f.is_zero or f.degree() < 1:
         raise PreconditionError("need a polynomial of degree >= 1")
     if A.is_trivial:

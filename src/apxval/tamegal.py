@@ -76,6 +76,7 @@ def _primitive_root_of_unity(p: int, n: int) -> int:
         w = pow(z, (p - 1) // n, p)
         if all(pow(w, n // q, p) != 1 for q in divisors):
             return min(pow(w, j, p) for j in range(1, n + 1) if gcd(j, n) == 1)
+    # cannot fire: TameCyclic.make checks n | p - 1, and F_p^* is cyclic
     raise InternalInconsistency(f"no primitive {n}-th root of unity mod {p}")
 
 
@@ -148,6 +149,7 @@ def valuation_independence_witness(
         cand = Series.monomial(G.p, Fraction(m, G.n))
         if sum(sig(cand).coeffs[0] * r for sig, r in zip(sigmas, residues)) % G.p:
             return cand
+    # cannot fire: by the docstring's Vandermonde argument some m works
     raise InternalInconsistency(
         "witness search exhausted: contradicts valuation independence "
         "of a tame Galois group"

@@ -615,6 +615,15 @@ def test_config_rejects_unknown_key(tmp_path):
             load_config_file(str(path), SessionConfig())
 
 
+def test_config_rejects_a_line_without_equals(tmp_path):
+    from apxval.errors import PreconditionError
+
+    path = tmp_path / "bad.cfg"
+    path.write_text("p 3\n")
+    with pytest.raises(PreconditionError, match="1: expected key=value, got 'p 3'"):
+        load_config_file(str(path), SessionConfig())
+
+
 @pytest.mark.parametrize("key", ["depth", "precision"])
 def test_cli_exits_1_on_retired_config_key(tmp_path, key):
     cfg = tmp_path / "bad.cfg"

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,11 @@ def test_val_basic():
     assert Series.zero(p).val() is INF
     with pytest.raises(IndeterminateValuation):
         Series.zero(p, Fraction(3)).val()
+
+
+def test_negative_power_is_refused():
+    with pytest.raises(PreconditionError, match="negative power; use invert"):
+        Series.one(3) ** -1
 
 
 def test_add_cancellation_and_mul():
@@ -695,6 +701,8 @@ def test_public_constructor_scales_exponents_to_one_denominator():
     )
     with pytest.raises(AttributeError):
         s.p = 5
+    with pytest.raises(FrozenInstanceError, match="cannot delete field 'p'"):
+        del s.p
 
 
 def test_public_constructor_keeps_the_invariants_randomized():

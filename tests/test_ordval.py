@@ -84,6 +84,8 @@ def test_shift_cut():
     assert shift_cut(Fraction(0), c) == c
     assert shift_cut(Fraction(2), c) == Cut.strictly_below(2)
     assert shift_cut(Fraction(-1, 2), Cut.plus_infinity()) == Cut.plus_infinity()
+    with pytest.raises(PreconditionError, match="shift by infinity"):
+        shift_cut(INF, c)
 
 
 def test_cut_order_is_lower_set_inclusion():

@@ -60,6 +60,21 @@ def test_coefficient_errors_are_positioned_in_the_polynomial(text, message):
     assert str(exc.value) == f"{message} in {text!r}"
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_series, "t + 1 )", "at position 6: expected '+' or end"),
+        (parse_series, "t + O(t^2) + 1", "at position 11: trailing input after O-term"),
+        (parse_poly, "X + ", "at position 4: expected a term"),
+        (parse_poly, "X X", "at position 2: expected '+' or end"),
+    ],
+)
+def test_syntax_errors_name_their_position(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text, 3)
+    assert str(exc.value) == f"{message} in {text!r}"
+
+
 def test_poly_literal():
     p = 3
     f = parse_poly("X^3 + (t^(-1))*X + 1", p)

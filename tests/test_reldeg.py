@@ -726,8 +726,9 @@ class _ValueTable:
         return self.table[s]
 
     @staticmethod
-    def power_sum(f, x, powers):
-        """valpoly.power_sum, the sampled route's evaluation, for the stub."""
+    def power_sum(f, x, powers, through=None):
+        """valpoly.power_sum, the sampled route's evaluation, for the stub:
+        its values are exact monomials, so ``through`` changes nothing."""
         return f(x)
 
 
@@ -1366,8 +1367,9 @@ def _laws_to_try(h, beta, step):
 
 
 class _SumSpy:
-    """Counts the sampled route's sums that run in full (no ``through``)
-    while a law is in hand: each one is a fallback to the full loop."""
+    """Counts the sampled route's sums, those that run in full (no
+    ``through``) and the cut ones: while a law is in hand, each full one
+    is a fallback to the full sums."""
 
     def __init__(self, monkeypatch):
         self.real, self.full, self.cut = reldeg.power_sum, 0, 0
@@ -1401,7 +1403,7 @@ def test_tail_values_do_not_depend_on_the_law_randomized(monkeypatch):
                 assert reldeg._tail_values(A, f, above, law) == want, (f, law)
                 fallbacks += law is not None and spy.full > 0
                 cases += 1
-    # the wrong laws reach the full loop, and some inputs hide a value
+    # the wrong laws reach the full sums, and some inputs hide a value
     assert cases > 300 and fallbacks > 20 and hidden > 0
 
 
@@ -1437,11 +1439,39 @@ def test_rel_degree_on_the_anchors_never_falls_back(p, monkeypatch):
     assert spy.cut == rd.sampled_points + 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_law_too_low_costs_f_x_and_one_point_in_full(p, monkeypatch):
+    # beta one lattice step down hides the deepest value: that point and
+    # f(x) are summed in full, once, and every shallower point is cut
+    # through the value found one point deeper
+    A, f = theta_type(p), theta_minpoly(p)
+    betas, _ = A.taylor_intercepts(f)
+    h, beta, threshold = envelope_law(betas, A.distance())
+    want = reldeg._tail_values(A, f, threshold)
+    spy = _SumSpy(monkeypatch)
+    low = (h, beta - _lattice_step(A, f))
+    assert reldeg._tail_values(A, f, threshold, low) == want
+    assert (spy.full, spy.cut) == (2, len(want) + 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tail_values_without_a_law_chain_the_cut(p, monkeypatch):
+    # f(x) and the deepest point in full; each shallower point is cut
+    # through the value found one point deeper
+    A, f = theta_type(p), theta_minpoly(p)
+    betas, _ = A.taylor_intercepts(f)
+    threshold = envelope_law(betas, A.distance())[2]
+    spy = _SumSpy(monkeypatch)
+    points = reldeg._tail_values(A, f, threshold)
+    assert len(points) > 2
+    assert (spy.full, spy.cut) == (2, len(points) - 1)
+
+
 @pytest.mark.parametrize("shift", [1, -1])
 def test_a_shifted_envelope_law_is_still_a_route_disagreement(shift, monkeypatch):
     # the law only says where the sums may stop: shifted down, the deepest
-    # value is hidden and the route runs in full; either way the sampled
-    # points follow the true law and the routes disagree
+    # value is hidden and that point and f(x) are summed in full; either
+    # way the sampled points follow the true law and the routes disagree
     p = 3
     A = theta_type(p)
     real = reldeg.envelope_law

@@ -57,3 +57,18 @@ def test_code_lines_totals_the_files_and_skips_docstrings(tmp_path):
         '    over two lines."""\n'
     )
     assert run_script("code_lines.py", str(path)) == [f"     1 {path}", "     1 total"]
+
+
+def test_unrun_raises_lists_the_refusals_a_run_misses():
+    # test_ordval.py runs shift_cut's refusal and never reaches the parser
+    lines = run_script("unrun_raises.py", "tests/test_ordval.py")
+    listed = set()
+    for line in lines:
+        path, lineno, text = line.split(" ", 2)
+        assert path.startswith("src/apxval/") and text.startswith("raise"), line
+        source = (ROOT / path).read_text().splitlines()
+        assert source[int(lineno) - 1].strip() == text
+        listed.add((path, text))
+    zero_den = 'raise ParseError(self.text, self.pos, "zero denominator")'
+    assert ("src/apxval/parsing.py", zero_den) in listed
+    assert not any("shift by infinity" in text for _, text in listed)

@@ -102,6 +102,8 @@ def test_chi_examples():
     assert chi(G, G.element(1), s) == 2  # -1 mod 3
     a = Series.make(3, [(1, 1), (2, 2)])
     assert chi(G, G.element(1), a) == 1  # ground elements in the kernel
+    with pytest.raises(PreconditionError, match="chi of zero"):
+        chi(G, G.element(1), Series.zero(3))
 
 
 @pytest.mark.parametrize("p, n", [(5, 4), (7, 3), (7, 6), (13, 4)])
